@@ -20,14 +20,12 @@ from repro.batch.kernel import (
     from_verify_case,
     run_batch,
 )
-from repro.batch.tables import clear_caches
 
 __all__ = [
     "MAX_LANES",
     "BatchCompatError",
     "BatchInstance",
     "BatchKernel",
-    "clear_caches",
     "from_verify_case",
     "group_key",
     "incompatibility",

@@ -12,12 +12,12 @@ memos) lives in the flat per-lane tables of :mod:`repro.batch.lane` —
 scalar-indexed access dominates there, where Python lists beat numpy
 element access by an order of magnitude.
 
-Construction is where batching wins beyond the flat stepper: lanes
-share refresh spread schedules (memoized by slot-count mixture — the
-scalar engine's single biggest per-run construction cost), timing
-domains, MCR row classifiers, and an address-decode memo per
-(geometry, mapping), so 64 lanes pay construction roughly once per
-*distinct config*, not once per lane.
+Lanes of one invocation share MCR row classifiers and an
+address-decode memo per (geometry, mapping). Each lane builds its own
+timing domain (tens of microseconds) and reads the scalar engine's
+lazily built refresh spread schedule, so construction costs about what
+it costs the scalar engine; what the kernel saves is stepping time
+(measured ratios in DESIGN.md).
 """
 
 from __future__ import annotations
@@ -28,17 +28,14 @@ import numpy as np
 
 from repro.batch.compat import incompatibility
 from repro.batch.lane import Lane
-from repro.batch.tables import (
-    as_mode_config,
-    shared_domain,
-    spread_schedule,
-    window_counts,
-)
+from repro.batch.tables import spread_schedule
 from repro.controller.address_mapping import AddressMapper
 from repro.core.api import SystemSpec
 from repro.core.mcr_mode import MCRMode
 from repro.cpu.trace import Trace
 from repro.dram.mcr import MCRGenerator, MCRModeConfig
+from repro.dram.refresh import window_counts
+from repro.dram.timing import TimingDomain
 from repro.sim.results import RunResult
 
 #: Lanes per kernel invocation; the harness chunks larger groups.
@@ -79,7 +76,7 @@ def from_verify_case(case) -> BatchInstance:
 
 
 class BatchKernel:
-    """Build lanes over shared tables, then run them in lockstep."""
+    """Build lanes, then run them in lockstep."""
 
     def __init__(self, instances) -> None:
         lanes: list[Lane] = []
@@ -87,7 +84,9 @@ class BatchKernel:
         decode_memos: dict = {}
         generators: dict = {}
         for index, instance in enumerate(instances):
-            mode = as_mode_config(instance.mode)
+            mode = instance.mode
+            if isinstance(mode, MCRMode):
+                mode = mode.config
             if not isinstance(mode, MCRModeConfig):
                 raise BatchCompatError(
                     f"instance {index}: mode must be MCRMode/MCRModeConfig, "
@@ -128,12 +127,6 @@ class BatchKernel:
             generator = generators.get(gen_key)
             if generator is None:
                 generator = generators[gen_key] = MCRGenerator(geometry, mode)
-            spread = (
-                spread_schedule(window_counts(mode))
-                if spec.refresh_enabled
-                else []
-            )
-            domain = shared_domain(geometry, mode, spec.wiring)
             lanes.append(
                 Lane(
                     index,
@@ -141,8 +134,8 @@ class BatchKernel:
                     mode,
                     spec,
                     instance.max_cycles,
-                    domain,
-                    spread,
+                    TimingDomain(geometry, mode, wiring=spec.wiring),
+                    spread_schedule(window_counts(mode)),
                     decoded,
                     generator.row_class,
                     instance.metrics,

@@ -40,6 +40,8 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.cpu.core import BlockReason, Core
+from repro.dram.mcr import RowClass
+from repro.dram.refresh import RefreshSlotKind
 from repro.obs.hub import _DEPTH_BUCKETS as _QUEUE_DEPTH_BUCKETS
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.power.edp import edp_joule_seconds
@@ -47,8 +49,6 @@ from repro.power.micron import PowerModel, PowerStats
 from repro.sim.engine import SimulationError
 from repro.sim.results import RunResult
 from repro.utils.stats import truncating_percentile
-
-from repro.batch.tables import KIND_TO_TRFC_CLASS
 
 _INF = math.inf
 _NEVER = 1 << 62
@@ -60,8 +60,8 @@ _MAX_POSTPONED = 8
 
 # Dense RowClass encoding: RowClass.NORMAL/MCR/MCR_ALT .value == 1/2/3.
 _CLS_NORMAL, _CLS_MCR, _CLS_MCR_ALT = 1, 2, 3
-# Dense RefreshSlotKind encoding (repro.batch.tables): SKIPPED == 3.
-_KIND_SKIPPED = 3
+_SKIPPED = RefreshSlotKind.SKIPPED
+_FAST, _FAST_ALT = RefreshSlotKind.FAST, RefreshSlotKind.FAST_ALT
 
 
 class _Req:
@@ -185,8 +185,8 @@ class _Ctrl:
         "t_wtr", "t_rtp", "t_ccd", "t_rtrs", "t_refi",
         # per-row-class timing tables indexed by RowClass.value (1..3)
         "trcd", "tras", "trc",
-        # tRFC cycles indexed by dense refresh-slot kind (0..2)
-        "trfc_by_kind", "spread",
+        # tRFC cycles per issued refresh-slot kind; SpreadSchedule.kind
+        "trfc_by_kind", "slot_kind",
         # per-bank state, flat index b = rank * banks + bank
         "open_row", "open_cls", "act_ready", "col_ready", "pre_ready",
         # per-rank state
@@ -232,8 +232,6 @@ class _Ctrl:
         self.t_ccd = base.t_ccd
         self.t_rtrs = base.t_rtrs
         self.t_refi = base.t_refi
-        from repro.dram.mcr import RowClass
-
         # Index 0 unused: RowClass values start at 1. Sized off the enum
         # so mechanism-plugin classes (e.g. CHARGED) don't overflow the
         # fill loop — batch lanes themselves never *dispatch* such
@@ -242,16 +240,19 @@ class _Ctrl:
         self.trcd = [0] * size
         self.tras = [0] * size
         self.trc = [0] * size
-        trfc = [0] * size
 
         for cls in RowClass:
             timings = domain.row_timings(cls)
             self.trcd[cls.value] = timings.t_rcd
             self.tras[cls.value] = timings.t_ras
             self.trc[cls.value] = timings.t_rc
-            trfc[cls.value] = domain.trfc_cycles(cls)
-        self.trfc_by_kind = [trfc[value] for value in KIND_TO_TRFC_CLASS]
-        self.spread = spread
+        # Mirrors RefreshScheduler.trfc_class.
+        self.trfc_by_kind = {
+            RefreshSlotKind.NORMAL: domain.trfc_cycles(RowClass.NORMAL),
+            _FAST: domain.trfc_cycles(RowClass.MCR),
+            _FAST_ALT: domain.trfc_cycles(RowClass.MCR_ALT),
+        }
+        self.slot_kind = spread.kind
         nb = ranks * banks
         self.open_row = [-1] * nb
         self.open_cls = [_CLS_NORMAL] * nb
@@ -293,8 +294,6 @@ class _Ctrl:
         self.memo = None  # (computed_cycle, gen, decision, valid_until)
         # By RowClass.value (index 0 unused); sized off the enum so new
         # plugin classes (e.g. CHARGED) can't index out of range.
-        from repro.dram.mcr import RowClass
-
         self.act_counts = [0] * (max(cls.value for cls in RowClass) + 1)
         self.lat_total = 0
         self.lat_count = 0
@@ -345,7 +344,7 @@ class _Ctrl:
             self.gen += 1
 
     # ------------------------------------------------------------------
-    # Refresh accrual (RefreshScheduler semantics, dense-int slot kinds)
+    # Refresh accrual (RefreshScheduler semantics)
     # ------------------------------------------------------------------
 
     def _consume_skips(self, rank: int, accrued: int) -> None:
@@ -353,9 +352,9 @@ class _Ctrl:
         if served >= accrued:
             return
         cursor = self.ref_cursor[rank]
-        spread = self.spread
+        kind = self.slot_kind
         skipped = 0
-        while served < accrued and spread[cursor % 8192] == _KIND_SKIPPED:
+        while served < accrued and kind(cursor) is _SKIPPED:
             cursor += 1
             served += 1
             skipped += 1
@@ -364,13 +363,18 @@ class _Ctrl:
             self.ref_served[rank] = served
             self.ref_skipped[rank] += skipped
 
-    def _pending_kind(self, rank: int, accrued: int) -> int | None:
+    def _pending_kind(self, rank: int, accrued: int) -> RefreshSlotKind | None:
         if self.ref_served[rank] >= accrued:
             return None  # nothing accrued — the common fast path
-        self._consume_skips(rank, accrued)
-        if self.ref_served[rank] >= accrued:
-            return None
-        return self.spread[self.ref_cursor[rank] % 8192]
+        # A pending slot is usually not a skip: read it once, and walk
+        # the skips only when there are some.
+        kind = self.slot_kind(self.ref_cursor[rank])
+        if kind is _SKIPPED:
+            self._consume_skips(rank, accrued)
+            if self.ref_served[rank] >= accrued:
+                return None
+            kind = self.slot_kind(self.ref_cursor[rank])
+        return kind
 
     def _forced_mask(self, accrued: int) -> int:
         """Bitmask of ranks whose refresh postponement is exhausted."""
@@ -683,9 +687,9 @@ class _Ctrl:
             self._apply_refresh(cycle, rank, self.trfc_by_kind[slot_kind])
             self.ref_cursor[rank] += 1
             self.ref_served[rank] += 1
-            if slot_kind == 1:  # FAST
+            if slot_kind is _FAST:
                 self.ref_fast[rank] += 1
-            elif slot_kind == 2:  # FAST_ALT
+            elif slot_kind is _FAST_ALT:
                 self.ref_fast_alt[rank] += 1
             else:
                 self.ref_normal[rank] += 1

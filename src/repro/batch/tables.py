@@ -1,139 +1,17 @@
-"""Shared, cache-backed construction tables for the batched kernel.
+"""The batched kernel's entry into the scalar engine's refresh schedule.
 
-The scalar engine rebuilds its timing domain, refresh spread schedule
-and address-decode results from scratch for every run; profiling shows
-the 8192-slot :meth:`repro.dram.refresh.RefreshPlan._build_spread_schedule`
-alone dominates scalar construction. A batch of lanes shares these
-tables instead: one spread schedule per distinct *slot-count mixture*,
-one :class:`~repro.dram.timing.TimingDomain` per distinct
-``(geometry, mode, wiring)``, and one address-decode memo per distinct
-``(geometry, mapping)`` within a kernel invocation.
-
-Bit-exactness contract: :func:`spread_schedule` replicates the scalar
-builder's float accumulation *operation for operation* — per-round
-credit accrual in ``list(RefreshSlotKind)`` order and a first-wins
-strict-``>`` argmax, exactly like ``max()`` over an ordered dict — so
-the emitted slot sequence is identical to ``RefreshPlan``'s (pinned by
-``tests/test_batch_equivalence.py``). Slot kinds are encoded as dense
-ints in declaration order: NORMAL=0, FAST=1, FAST_ALT=2, SKIPPED=3.
+Both engines read one implementation of the refresh spread schedule,
+:class:`repro.dram.refresh.SpreadSchedule`, which generates slots on
+first read. :func:`spread_schedule` is the kernel's only call into it,
+so a traced run can count the schedules the kernel builds.
 """
 
 from __future__ import annotations
 
-from repro.core.mcr_mode import MCRMode
-from repro.dram.config import REFRESH_SLOTS_PER_WINDOW, DRAMGeometry
-from repro.dram.mcr import MCRModeConfig, RowClass
-from repro.dram.refresh import WiringMethod
-from repro.dram.timing import TimingDomain
-
-KIND_NORMAL, KIND_FAST, KIND_FAST_ALT, KIND_SKIPPED = 0, 1, 2, 3
-
-#: Refresh-slot kind -> RowClass value used for the tRFC table lookup
-#: (mirrors ``RefreshScheduler.trfc_class``).
-KIND_TO_TRFC_CLASS = (RowClass.NORMAL.value, RowClass.MCR.value, RowClass.MCR_ALT.value)
-
-_SPREAD_CACHE: dict[tuple[int, int, int, int], list[int]] = {}
-_DOMAIN_CACHE: dict[tuple, TimingDomain] = {}
+from repro.dram.refresh import SpreadSchedule
 
 
-def clear_caches() -> None:
-    """Drop all module-level construction caches (cold-start benchmarks)."""
-    _SPREAD_CACHE.clear()
-    _DOMAIN_CACHE.clear()
-
-
-def as_mode_config(mode: MCRMode | MCRModeConfig) -> MCRModeConfig:
-    return mode.config if isinstance(mode, MCRMode) else mode
-
-
-def window_counts(mode: MCRModeConfig) -> tuple[int, int, int, int]:
-    """Slot counts per 8192-slot window, as ``RefreshPlan._window_counts``
-    computes them, keyed by dense kind int."""
-    total = REFRESH_SLOTS_PER_WINDOW
-    counts = [total, 0, 0, 0]
-    if not mode.enabled:
-        return tuple(counts)
-    regions: list[tuple[int, float, int, int]] = [
-        (KIND_FAST, mode.region_fraction, mode.k, mode.m)
-    ]
-    if mode.has_alt_region:
-        regions.append((KIND_FAST_ALT, mode.alt_region_fraction, mode.alt_k, mode.alt_m))
-    mechanisms = mode.mechanisms
-    for fast_kind, fraction, k, m in regions:
-        region_slots = round(total * fraction)
-        skipped = region_slots * (k - m) // k if mechanisms.refresh_skipping else 0
-        issued = region_slots - skipped
-        fast = issued if mechanisms.fast_refresh else 0
-        counts[KIND_SKIPPED] += skipped
-        counts[fast_kind] += fast
-        counts[KIND_NORMAL] -= skipped + fast
-    return tuple(counts)
-
-
-def spread_schedule(counts: tuple[int, int, int, int]) -> list[int]:
-    """Largest-remainder spread of ``counts`` over one window, bit-exact
-    to ``RefreshPlan._build_spread_schedule`` (same float accumulation
-    order, same first-wins tie-break), memoized by the counts tuple."""
-    cached = _SPREAD_CACHE.get(counts)
-    if cached is not None:
-        return cached
-    total = REFRESH_SLOTS_PER_WINDOW
-    n0, n1, n2, n3 = counts
-    q0, q1, q2, q3 = n0 / total, n1 / total, n2 / total, n3 / total
-    c0 = c1 = c2 = c3 = 0.0
-    e0 = e1 = e2 = e3 = 0
-    schedule: list[int] = []
-    append = schedule.append
-    for _ in range(total):
-        c0 += q0
-        c1 += q1
-        c2 += q2
-        c3 += q3
-        best = -1
-        best_key = 0.0
-        if e0 < n0:
-            best = KIND_NORMAL
-            best_key = c0 - e0
-        if e1 < n1:
-            key = c1 - e1
-            if best < 0 or key > best_key:
-                best = KIND_FAST
-                best_key = key
-        if e2 < n2:
-            key = c2 - e2
-            if best < 0 or key > best_key:
-                best = KIND_FAST_ALT
-                best_key = key
-        if e3 < n3:
-            key = c3 - e3
-            if best < 0 or key > best_key:
-                best = KIND_SKIPPED
-                best_key = key
-        if best == KIND_NORMAL:
-            e0 += 1
-        elif best == KIND_FAST:
-            e1 += 1
-        elif best == KIND_FAST_ALT:
-            e2 += 1
-        else:
-            e3 += 1
-        append(best)
-    _SPREAD_CACHE[counts] = schedule
-    return schedule
-
-
-def shared_domain(
-    geometry: DRAMGeometry, mode: MCRModeConfig, wiring: WiringMethod
-) -> TimingDomain:
-    """One TimingDomain per distinct (geometry, mode, wiring).
-
-    TimingDomain construction is deterministic and the object is
-    read-only after construction, so lanes can share instances (the
-    scalar engine builds an identical one per run).
-    """
-    key = (geometry, mode, wiring)
-    domain = _DOMAIN_CACHE.get(key)
-    if domain is None:
-        domain = TimingDomain(geometry, mode, wiring=wiring)
-        _DOMAIN_CACHE[key] = domain
-    return domain
+def spread_schedule(counts: tuple[int, int, int, int]) -> SpreadSchedule:
+    """The spread schedule of one slot-count mix (see
+    :func:`repro.dram.refresh.window_counts`)."""
+    return SpreadSchedule(counts)

@@ -25,6 +25,12 @@ window, which would bias short runs. The spread plan emits the same per-
 window mix of {normal, fast, skipped} slots, interleaved deterministically
 (largest-remainder), so a run of any length sees representative refresh
 behaviour. Both plans expose identical per-window aggregates (tested).
+
+:class:`SpreadSchedule` is the one implementation of the spread plan, read
+by both engines: the scalar engine through :meth:`RefreshPlan.spread_kind`,
+the batched kernel through ``repro.batch.tables.spread_schedule``. It
+generates slots on first read, because a simulation reads one slot per
+tREFI and most runs end long before the 8192-slot window does.
 """
 
 from __future__ import annotations
@@ -102,6 +108,103 @@ class RefreshSlotKind(Enum):
     SKIPPED = auto()  # no command issued (Refresh-Skipping)
 
 
+#: Slot kinds in declaration order: the order of a slot-count tuple.
+_KINDS = tuple(RefreshSlotKind)
+
+
+def window_counts(mode: MCRModeConfig) -> tuple[int, int, int, int]:
+    """Slots of each kind per 8192-slot window, in :class:`RefreshSlotKind`
+    order; computed analytically, verified against the exact plan.
+
+    Each MCR region covers its fraction of every sub-array, and the
+    counter walks every row once per window, so that fraction of slots
+    targets the region's rows; of those, a fraction (1 - M/K) is skipped
+    when Refresh-Skipping is on, and the rest are fast when Fast-Refresh
+    is on.
+    """
+    total = REFRESH_SLOTS_PER_WINDOW
+    counts = dict.fromkeys(_KINDS, 0)
+    counts[RefreshSlotKind.NORMAL] = total
+    if not mode.enabled:
+        return tuple(counts.values())
+    regions = [(RefreshSlotKind.FAST, mode.region_fraction, mode.k, mode.m)]
+    if mode.has_alt_region:
+        regions.append(
+            (RefreshSlotKind.FAST_ALT, mode.alt_region_fraction, mode.alt_k, mode.alt_m)
+        )
+    mech = mode.mechanisms
+    for fast_kind, fraction, k, m in regions:
+        region_slots = round(total * fraction)
+        skipped = region_slots * (k - m) // k if mech.refresh_skipping else 0
+        issued = region_slots - skipped
+        fast = issued if mech.fast_refresh else 0
+        counts[RefreshSlotKind.SKIPPED] += skipped
+        counts[fast_kind] += fast
+        counts[RefreshSlotKind.NORMAL] -= skipped + fast
+    return tuple(counts.values())
+
+
+class SpreadSchedule:
+    """Largest-remainder interleave of one window's slot mix, built lazily.
+
+    ``counts`` holds the slots of each kind per window in
+    :class:`RefreshSlotKind` order (see :func:`window_counts`). After any
+    prefix of length n each kind has appeared floor/ceil of its fair
+    share, so arbitrarily short simulations see representative refresh
+    costs. :meth:`kind` generates the window up to the slot it reads and
+    keeps the interleave state between calls, so a run pays for the
+    slots it reaches, not for all 8192.
+
+    Each new slot adds every kind's quota to its credit (in declaration
+    order), then emits the kind furthest ahead of its emissions among
+    those still under their count; the first such kind wins a tie.
+    """
+
+    __slots__ = ("counts", "_quotas", "_credit", "_emitted", "_kinds")
+
+    def __init__(self, counts: tuple[int, int, int, int]) -> None:
+        counts = tuple(counts)
+        if (
+            len(counts) != len(_KINDS)
+            or min(counts) < 0
+            or sum(counts) != REFRESH_SLOTS_PER_WINDOW
+        ):
+            raise ValueError(
+                f"need {len(_KINDS)} non-negative slot counts summing to "
+                f"{REFRESH_SLOTS_PER_WINDOW}, got {counts}"
+            )
+        self.counts = counts
+        self._quotas = [n / REFRESH_SLOTS_PER_WINDOW for n in counts]
+        self._credit = [0.0] * len(_KINDS)
+        self._emitted = [0] * len(_KINDS)
+        self._kinds: list[RefreshSlotKind] = []
+
+    def kind(self, index: int) -> RefreshSlotKind:
+        """Kind of slot ``index`` (taken modulo the window)."""
+        slot = index % REFRESH_SLOTS_PER_WINDOW
+        kinds = self._kinds
+        if slot >= len(kinds):
+            self._extend(slot + 1)
+        return kinds[slot]
+
+    def _extend(self, length: int) -> None:
+        counts, quotas = self.counts, self._quotas
+        credit, emitted = self._credit, self._emitted
+        kinds = self._kinds
+        span = range(len(_KINDS))
+        while len(kinds) < length:
+            best = -1
+            best_key = 0.0
+            for i in span:
+                credit[i] += quotas[i]
+                if emitted[i] < counts[i]:
+                    key = credit[i] - emitted[i]
+                    if best < 0 or key > best_key:
+                        best, best_key = i, key
+            emitted[best] += 1
+            kinds.append(_KINDS[best])
+
+
 @dataclass(frozen=True, slots=True)
 class RefreshSlot:
     """One refresh-command slot of the 8192-slot window."""
@@ -142,8 +245,9 @@ class RefreshPlan:
             if mode.has_alt_region
             else {0},
         }
-        self._counts = self._window_counts()
-        self._spread = self._build_spread_schedule()
+        counts = window_counts(mode)
+        self._counts = dict(zip(_KINDS, counts))
+        self._spread = SpreadSchedule(counts)
 
     # ------------------------------------------------------------------
     # Exact (wiring-faithful) schedule
@@ -195,79 +299,15 @@ class RefreshPlan:
     # Rate-preserving spread schedule (simulator default)
     # ------------------------------------------------------------------
 
-    def _window_counts(self) -> dict[RefreshSlotKind, int]:
-        """Per-window slot counts; computed analytically, verified vs exact.
-
-        Each MCR region covers its fraction of every sub-array, and the
-        counter walks every row once per window, so that fraction of slots
-        targets the region's rows; of those, a fraction (1 - M/K) is
-        skipped when Refresh-Skipping is on, and the rest are fast when
-        Fast-Refresh is on.
-        """
-        total = self.slots_per_window
-        mech = self.mode.mechanisms
-        counts = {kind: 0 for kind in RefreshSlotKind}
-        counts[RefreshSlotKind.NORMAL] = total
-        if not self.mode.enabled:
-            return counts
-        regions = [
-            (RefreshSlotKind.FAST, self.mode.region_fraction, self.mode.k, self.mode.m)
-        ]
-        if self.mode.has_alt_region:
-            regions.append(
-                (
-                    RefreshSlotKind.FAST_ALT,
-                    self.mode.alt_region_fraction,
-                    self.mode.alt_k,
-                    self.mode.alt_m,
-                )
-            )
-        for fast_kind, fraction, k, m in regions:
-            region_slots = round(total * fraction)
-            skipped = (
-                region_slots * (k - m) // k if mech.refresh_skipping else 0
-            )
-            issued = region_slots - skipped
-            fast = issued if mech.fast_refresh else 0
-            counts[RefreshSlotKind.SKIPPED] += skipped
-            counts[fast_kind] += fast
-            counts[RefreshSlotKind.NORMAL] -= skipped + fast
-        return counts
-
     def window_counts(self) -> dict[RefreshSlotKind, int]:
         """Slots of each kind per 8192-slot window."""
         return dict(self._counts)
-
-    def _build_spread_schedule(self) -> list[RefreshSlotKind]:
-        """Largest-remainder interleave of the per-window slot mix.
-
-        Produces a deterministic sequence in which, after any prefix of
-        length n, each kind has appeared floor/ceil of its fair share —
-        so arbitrarily short simulations see representative refresh costs.
-        """
-        total = self.slots_per_window
-        kinds = list(RefreshSlotKind)
-        quotas = {kind: self._counts[kind] / total for kind in kinds}
-        credit = {kind: 0.0 for kind in kinds}
-        emitted = {kind: 0 for kind in kinds}
-        schedule: list[RefreshSlotKind] = []
-        for _ in range(total):
-            for kind in kinds:
-                credit[kind] += quotas[kind]
-            # Pick the kind furthest ahead of its emissions, respecting caps.
-            best = max(
-                (k for k in kinds if emitted[k] < self._counts[k]),
-                key=lambda k: credit[k] - emitted[k],
-            )
-            emitted[best] += 1
-            schedule.append(best)
-        return schedule
 
     def spread_kind(self, index: int) -> RefreshSlotKind:
         """Slot kind at position ``index`` of the spread schedule."""
         if index < 0:
             raise ValueError("index must be non-negative")
-        return self._spread[index % self.slots_per_window]
+        return self._spread.kind(index)
 
     def issued_fraction(self) -> float:
         """Fraction of refresh commands actually issued (1 - skip rate)."""

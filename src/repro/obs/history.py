@@ -54,7 +54,6 @@ TRACKED: dict[str, Tracked] = {
     "batch_kernel_speedup": Tracked("detail.speedup", True, 0.25),
     "harness_speedup": Tracked("detail.speedup", True, 0.30),
     "service_load": Tracked("detail.throughput_jobs_s", True, 0.40),
-    "obs_off_overhead": Tracked("overhead_pct", False, 0.03, shift=100.0),
     "obs_batch_metrics_overhead": Tracked("overhead_pct", False, 0.05, shift=100.0),
 }
 FALLBACK = Tracked("wall_s", False, 0.50)

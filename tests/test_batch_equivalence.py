@@ -15,8 +15,9 @@ field-by-field:
   regression cases;
 - a Hypothesis lane-isolation property: arbitrary mixed batches produce
   per-instance results identical to running each case alone;
-- pinning of the shared construction tables (``repro.batch.tables``)
-  against ``RefreshPlan``, and of the compat predicate's grouping rules.
+- pinning of the refresh spread schedule both engines read against the
+  eager reference builder (``tests.reference_refresh``), and of the
+  compat predicate's grouping rules.
 """
 
 import random
@@ -35,9 +36,10 @@ from repro.batch import (
     job_incompatibility,
     run_batch,
 )
-from repro.batch.tables import spread_schedule, window_counts
+from repro.batch.tables import spread_schedule
 from repro.core.api import SystemSpec
 from repro.core.mcr_mode import MCRMode
+from repro.dram.refresh import RefreshPlan, window_counts
 from repro.verify.corpus import corpus_paths, load_artifact
 from repro.verify.generator import VerifyCase, build_spec, sample_case
 from tests.equivalence_harness import (
@@ -46,6 +48,7 @@ from tests.equivalence_harness import (
     run_batched,
     run_scalar,
 )
+from tests.reference_refresh import reference_spread_schedule
 
 # ----------------------------------------------------------------------
 # Deterministic configuration matrix (batched heterogeneously)
@@ -222,7 +225,7 @@ class TestLaneIsolation:
 
 
 # ----------------------------------------------------------------------
-# Shared construction tables pinned against the scalar builders
+# The spread schedule both engines read, pinned against the reference
 # ----------------------------------------------------------------------
 
 
@@ -248,23 +251,24 @@ class TestSpreadSchedulePin:
         )
         self._check(mode.config)
 
+    def test_matrix_modes_match_reference(self):
+        configs = {case.mode().config for case in CONFIG_MATRIX}
+        assert any(config.has_alt_region for config in configs)
+        for config in configs:
+            self._check(config)
+
     @staticmethod
     def _check(config):
-        """The memoized dense-int schedule must equal RefreshPlan's slot
-        sequence position for position over a full window."""
-        from repro.dram.refresh import RefreshPlan, RefreshSlotKind
-
+        """The kernel's schedule and RefreshPlan's (the scalar engine's)
+        must both equal the eager reference builder slot for slot over a
+        full window."""
+        counts = window_counts(config)
+        expected = reference_spread_schedule(counts)
         plan = RefreshPlan(VerifyCase().geometry(), config)
-        dense = {
-            RefreshSlotKind.NORMAL: 0,
-            RefreshSlotKind.FAST: 1,
-            RefreshSlotKind.FAST_ALT: 2,
-            RefreshSlotKind.SKIPPED: 3,
-        }
-        expected = [
-            dense[plan.spread_kind(i)] for i in range(plan.slots_per_window)
-        ]
-        assert spread_schedule(window_counts(config)) == expected
+        window = range(plan.slots_per_window)
+        assert [plan.spread_kind(i) for i in window] == expected
+        kernel = spread_schedule(counts)
+        assert [kernel.kind(i) for i in window] == expected
 
 
 # ----------------------------------------------------------------------

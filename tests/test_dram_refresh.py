@@ -9,6 +9,7 @@ from repro.dram.mcr import MCRModeConfig, MechanismSet
 from repro.dram.refresh import (
     RefreshPlan,
     RefreshSlotKind,
+    SpreadSchedule,
     WiringMethod,
     kept_clone_passes,
     max_refresh_interval_slots,
@@ -168,6 +169,13 @@ class TestSpreadSchedule:
             plan.spread_kind(-1)
         with pytest.raises(ValueError):
             plan.exact_slot(-1)
+
+    @pytest.mark.parametrize(
+        "counts", ((8192, 0, 0), (8191, 0, 0, 0), (8193, 0, 0, -1))
+    )
+    def test_counts_must_fill_one_window(self, counts):
+        with pytest.raises(ValueError):
+            SpreadSchedule(counts)
 
 
 class TestExactSlots:

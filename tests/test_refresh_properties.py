@@ -1,12 +1,13 @@
-"""Property tests on refresh plans across the full mode space."""
+"""Property tests on refresh plans and the spread schedule."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.config import single_core_geometry
+from repro.dram.config import REFRESH_SLOTS_PER_WINDOW, single_core_geometry
 from repro.dram.mcr import MCRModeConfig, MechanismSet
-from repro.dram.refresh import RefreshPlan, RefreshSlotKind
+from repro.dram.refresh import RefreshPlan, RefreshSlotKind, SpreadSchedule
+from tests.reference_refresh import reference_spread_schedule
 
 
 @st.composite
@@ -89,3 +90,40 @@ class TestPlanInvariants:
                 mode.alt_region_fraction * (mode.alt_k - mode.alt_m) / mode.alt_k
             )
         assert plan.issued_fraction() == pytest.approx(expected, abs=2e-4)
+
+
+@st.composite
+def slot_count_mixes(draw):
+    """Any four non-negative slot counts that fill one window."""
+    cuts = sorted(
+        draw(st.lists(st.integers(0, REFRESH_SLOTS_PER_WINDOW), min_size=3, max_size=3))
+    )
+    bounds = [0, *cuts, REFRESH_SLOTS_PER_WINDOW]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+class TestSpreadScheduleReference:
+    """The lazy schedule reads the eager reference's slots in any order."""
+
+    @given(
+        slot_count_mixes(),
+        st.sampled_from(("last-first", "shuffled", "wrapped", "sparse")),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_any_read_order_matches_reference(self, counts, order, rng):
+        window = REFRESH_SLOTS_PER_WINDOW
+        expected = reference_spread_schedule(counts)
+        if order == "last-first":
+            indices = [window - 1, *range(window - 1)]
+        elif order == "sparse":
+            indices = [rng.randrange(4 * window) for _ in range(64)]
+        else:
+            indices = list(range(window))
+            rng.shuffle(indices)
+            if order == "wrapped":
+                indices = [i + window * rng.randint(1, 3) for i in indices]
+        schedule = SpreadSchedule(counts)
+        assert [schedule.kind(i) for i in indices] == [
+            expected[i % window] for i in indices
+        ]
