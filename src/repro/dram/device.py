@@ -174,8 +174,8 @@ class ChannelState:
         self.data_bus_busy_cycles = 0
         self.read_count = 0
         self.write_count = 0
-        #: When set (a list), every applied command is recorded here; the
-        #: independent auditor in repro.sim.audit re-checks the log.
+        #: When set (a list), every applied command is recorded here;
+        #: repro.verify.oracle.replay_commands re-checks the log.
         self.command_log: list[Command] | None = None
 
     # ------------------------------------------------------------------

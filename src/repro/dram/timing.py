@@ -246,7 +246,7 @@ class TimingDomain:
 
     def constraint_table(self) -> dict[str, int]:
         """Every inter-command spacing constraint, by the name the
-        observability layer (tracer gates, invariant checker) uses.
+        verify oracle's table (and so every tracer gate) uses.
 
         Row-class-dependent constraints are suffixed with the class name;
         channel-wide constraints appear once.

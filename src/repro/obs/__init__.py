@@ -1,4 +1,4 @@
-"""Observability: tracing, metrics, invariants, profiling, attribution.
+"""Observability: tracing, metrics, online checking, profiling, attribution.
 
 The subsystem is strictly descriptive — nothing here may influence
 simulation results. Entry points:
@@ -12,8 +12,10 @@ simulation results. Entry points:
 - :func:`to_perfetto` / :func:`diff_runs` — trace export and run diff;
 - :mod:`repro.obs.plane` — trace-context propagation (service → harness
   → engine) and :func:`render_openmetrics` Prometheus exposition;
-- ``python -m repro.obs.history check`` — perf-history trend gate;
-- ``python -m repro.obs.fuzz`` — the CI invariant-checker fuzz driver.
+- ``python -m repro.obs.history check`` — perf-history trend gate.
+
+Timing checks (``invariants``) and trace gate labels come from the
+:mod:`repro.verify` oracle, which the hub loads only when asked for.
 """
 
 from repro.obs.attribution import (
@@ -33,14 +35,6 @@ from repro.obs.hub import (
     ObservabilityConfig,
     ObservabilityHub,
     observe_run,
-)
-from repro.obs.invariants import (
-    GATE_QUEUE,
-    GATE_READY,
-    ConstraintModel,
-    InvariantChecker,
-    InvariantError,
-    Violation,
 )
 from repro.obs.metrics import (
     Counter,
@@ -78,14 +72,9 @@ __all__ = [
     "COMPONENTS",
     "ChannelObserver",
     "CommandTracer",
-    "ConstraintModel",
     "Counter",
-    "GATE_QUEUE",
-    "GATE_READY",
     "Gauge",
     "Histogram",
-    "InvariantChecker",
-    "InvariantError",
     "ExemplarStore",
     "MECHANISMS",
     "MetricsRegistry",
@@ -98,7 +87,6 @@ __all__ = [
     "RequestProfiler",
     "TRACE_SCHEMA_VERSION",
     "TraceEvent",
-    "Violation",
     "attribute_mechanisms",
     "diff_files",
     "diff_runs",

@@ -9,9 +9,9 @@ replay:
 1. Take the recorded command stream (the tracer's events, in issue
    order).
 2. Re-derive each command's earliest legal issue cycle under a
-   *mechanism-disabled* :class:`~repro.dram.timing.TimingDomain`, using
-   the invariant checker's :class:`~repro.obs.invariants.ConstraintModel`
-   — the same shadow-history gating computation that labelled the trace.
+   *mechanism-disabled* :class:`~repro.verify.rules.OracleConfig`, using
+   :meth:`~repro.verify.oracle.ProtocolOracle.bounds` — the same rule
+   tables that checked the run and labelled the trace.
 3. Replay the stream twice, bracketing the truth:
 
    - **slack-absorbing** (lower bound): a command issues at
@@ -35,24 +35,26 @@ Refresh-Skipping cannot be replayed this way — skipped REFRESH commands
 are absent from the trace — so its bucket is the occupancy upper bound
 ``skipped slots x tRFC``, reported separately with its basis.
 
-The replay under the run's *own* domain is a built-in self-check: the
-invariant checker guarantees every recorded cycle satisfies its bounds,
-so that replay must reproduce the stream exactly (delta 0). A non-zero
-self-check means the trace and the model disagree — attribution output
-would be untrustworthy and the snapshot says so.
+The replay under the run's *own* configuration is a built-in
+self-check: the online oracle has checked every recorded cycle against
+its bounds, so that replay must reproduce the stream exactly (delta 0).
+A non-zero self-check means the trace and the rule tables disagree —
+attribution output would be untrustworthy and the snapshot says so.
+
+The oracle is imported inside the functions below: loading
+:mod:`repro.obs` must not load :mod:`repro.verify`.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.dram.commands import Command, CommandType
-from repro.dram.config import DRAMGeometry
-from repro.dram.mcr import MCRModeConfig, RowClass
-from repro.dram.timing import TimingDomain
-from repro.obs.invariants import ConstraintModel
-from repro.obs.tracer import ROW_CLASS_LABELS, TraceEvent
+from repro.obs.tracer import TraceEvent
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.verify.rules import OracleConfig, OracleTimings
 
 #: Attribution snapshot schema version.
 ATTRIBUTION_SCHEMA_VERSION = 1
@@ -65,40 +67,26 @@ MECHANISMS: tuple[str, ...] = (
     "refresh_skipping",
 )
 
-_LABEL_TO_CLASS = {label: cls for cls, label in ROW_CLASS_LABELS.items()}
+
+def _refresh_kind(timings: "OracleTimings", recorded: int):
+    """Row kind of a REFRESH that charged ``recorded`` cycles, looked up
+    in ``timings``; NORMAL wins ties, then MCR over MCR_ALT over
+    CHARGED, and an off-table value counts as NORMAL."""
+    from repro.verify.rules import RowKind
+
+    by_trfc = {timings.trfc[kind]: kind for kind in reversed(RowKind)}
+    return by_trfc.get(recorded, RowKind.NORMAL)
 
 
-def _counterfactual_domain(
-    geometry: DRAMGeometry, domain: TimingDomain, mode: MCRModeConfig, mechanisms
-) -> TimingDomain:
-    return TimingDomain(
-        geometry,
-        replace(mode, mechanisms=mechanisms),
-        base=domain.base,
-        wiring=domain.wiring,
-    )
-
-
-def _trfc_class_map(domain: TimingDomain) -> dict[int, RowClass]:
-    """Actual tRFC value -> row class; NORMAL wins ties (listed last).
-
-    Built generically over :class:`RowClass` so plugin-introduced
-    classes resolve too; on ties, later entries win — NORMAL last, then
-    MCR over MCR_ALT over any plugin class (reverse declaration order).
-    """
-    ordered = [cls for cls in RowClass if cls is not RowClass.NORMAL]
-    ordered.reverse()
-    ordered.append(RowClass.NORMAL)
-    return {domain.trfc_cycles(cls): cls for cls in ordered}
-
-
-def _command_end(kind: str, cycle: int, domain: TimingDomain, trfc: int) -> int:
+def _command_end(
+    kind: str, cycle: int, timings: "OracleTimings", trfc: int
+) -> int:
     """Completion cycle of a command (data end / tRFC end / issue)."""
-    base = domain.base
+    base = timings.base
     if kind == "READ":
-        return cycle + base.t_cas + base.t_burst
+        return cycle + base["tCAS"] + base["tBURST"]
     if kind == "WRITE":
-        return cycle + base.t_cwd + base.t_burst
+        return cycle + base["tCWD"] + base["tBURST"]
     if kind == "REFRESH":
         return cycle + trfc
     return cycle
@@ -106,39 +94,39 @@ def _command_end(kind: str, cycle: int, domain: TimingDomain, trfc: int) -> int:
 
 def replay_events(
     events: Sequence[TraceEvent],
-    geometry: DRAMGeometry,
-    replay_domain: TimingDomain,
-    mode: MCRModeConfig,
-    actual_domain: TimingDomain,
+    replay_config: "OracleConfig",
+    actual_timings: "OracleTimings",
     propagate_shift: bool = False,
 ) -> tuple[int, dict[tuple[int, int, int, int], int]]:
-    """Replay one channel's recorded stream under ``replay_domain``.
+    """Replay one channel's recorded stream under ``replay_config``.
 
-    With ``propagate_shift`` False a command's floor is its original
-    cycle (slack-absorbing lower bound); True adds the accumulated delay
-    of every earlier command on the channel (shift-propagating upper
-    bound). Returns ``(makespan, delays)`` where ``delays`` maps each
-    column command's identity ``(channel, original cycle, rank, bank)``
-    to its counterfactual issue delay in cycles (zero entries omitted).
+    ``actual_timings`` is the run's own table, which says which row kind
+    each recorded REFRESH served. With ``propagate_shift`` False a
+    command's floor is its original cycle (slack-absorbing lower bound);
+    True adds the accumulated delay of every earlier command on the
+    channel (shift-propagating upper bound). Returns ``(makespan,
+    delays)`` where ``delays`` maps each column command's identity
+    ``(channel, original cycle, rank, bank)`` to its counterfactual
+    issue delay in cycles (zero entries omitted).
     """
+    from repro.verify.oracle import ProtocolOracle
+
     if not events:
         return 0, {}
     channel = events[0].channel
-    model = ConstraintModel(geometry, replay_domain, mode)
-    trfc_classes = _trfc_class_map(actual_domain)
+    oracle = ProtocolOracle(replay_config, refresh_enabled=False)
+    replay_trfc = oracle.timings.trfc
     makespan = 0
     shift = 0
     delays: dict[tuple[int, int, int, int], int] = {}
     for event in events:
         kind = CommandType[event.kind]
-        row_class = _LABEL_TO_CLASS.get(event.row_class)
         row = event.row
         trfc = 0
         if kind is CommandType.REFRESH:
             # event.row records the slot's *actual* tRFC; translate it to
-            # the replay domain's tRFC for the same row class.
-            slot_class = trfc_classes.get(event.row, RowClass.NORMAL)
-            trfc = replay_domain.trfc_cycles(slot_class)
+            # the replay table's tRFC for the same row kind.
+            trfc = replay_trfc[_refresh_kind(actual_timings, event.row)]
             row = trfc
         cmd = Command(
             event.cycle,
@@ -148,23 +136,84 @@ def replay_events(
             bank=event.bank,
             row=row,
         )
-        timing, _ = model.bounds(cmd, row_class)
         floor = event.cycle + (shift if propagate_shift else 0)
-        new_cycle = max([floor] + [bound for _, bound in timing])
+        new_cycle = max([floor] + [bound for _, bound in oracle.bounds(0, cmd)])
         if propagate_shift:
             shift = new_cycle - event.cycle
         if new_cycle != event.cycle:
-            moved = replace(cmd, cycle=new_cycle)
-        else:
-            moved = cmd
-        model.observe(moved, row_class)
+            cmd = replace(cmd, cycle=new_cycle)
+        oracle.observe(0, cmd)
         if kind in (CommandType.READ, CommandType.WRITE) and new_cycle > event.cycle:
             key = (channel, event.cycle, event.rank, event.bank)
             delays[key] = new_cycle - event.cycle
-        end = _command_end(event.kind, new_cycle, replay_domain, trfc)
+        end = _command_end(event.kind, new_cycle, oracle.timings, trfc)
         if end > makespan:
             makespan = end
     return makespan, delays
+
+
+def _actual_makespan(
+    by_channel: Mapping[int, list[TraceEvent]], timings: "OracleTimings"
+) -> int:
+    """Latest completion cycle of the recorded stream."""
+    makespan = 0
+    for events in by_channel.values():
+        for event in events:
+            trfc = (
+                timings.trfc[_refresh_kind(timings, event.row)]
+                if event.kind == "REFRESH"
+                else 0
+            )
+            makespan = max(
+                makespan, _command_end(event.kind, event.cycle, timings, trfc)
+            )
+    return makespan
+
+
+def _replay_ladder(
+    by_channel: Mapping[int, list[TraceEvent]],
+    ladder: Sequence[tuple[str, "OracleConfig"]],
+    actual_timings: "OracleTimings",
+) -> tuple[dict[str, dict[str, int]], dict[str, dict]]:
+    """Both replay regimes at every ladder step: per-step ``{"lower",
+    "upper"}`` makespans and the slack-absorbing column delays."""
+    makespans: dict[str, dict[str, int]] = {}
+    step_delays: dict[str, dict] = {}
+    for name, step_config in ladder:
+        bound_makespans = {}
+        delays: dict[tuple[int, int, int, int], int] = {}
+        for bound, propagate in (("lower", False), ("upper", True)):
+            makespan = 0
+            for events in by_channel.values():
+                channel_makespan, channel_delays = replay_events(
+                    events, step_config, actual_timings, propagate_shift=propagate
+                )
+                makespan = max(makespan, channel_makespan)
+                if not propagate:
+                    delays.update(channel_delays)
+            bound_makespans[bound] = makespan
+        makespans[name] = bound_makespans
+        step_delays[name] = delays
+    return makespans, step_delays
+
+
+def _traced(hub) -> dict[int, list[TraceEvent]]:
+    """The hub's trace, split by channel in issue order."""
+    if hub.tracer is None:
+        raise ValueError("mechanism attribution requires a command trace")
+    by_channel: dict[int, list[TraceEvent]] = {}
+    for event in hub.tracer.events:
+        by_channel.setdefault(event.channel, []).append(event)
+    return by_channel
+
+
+def _self_check(makespans: dict[str, dict[str, int]], actual: int) -> int:
+    """Largest makespan drift of the replays under the run's own table."""
+    return max(
+        makespans["self_check"]["lower"] - actual,
+        makespans["self_check"]["upper"] - actual,
+        key=abs,
+    )
 
 
 def attribute_mechanisms(
@@ -178,79 +227,36 @@ def attribute_mechanisms(
     estimate; when omitted it is read from the metrics registry if one
     was collected, else the RS bucket reports unknown slots.
     """
-    if hub.tracer is None:
-        raise ValueError("mechanism attribution requires a command trace")
-    geometry = hub.geometry
-    domain = hub.domain
-    mode = hub.mode
-    mechanisms = mode.mechanisms
+    from repro.verify.rules import RowKind
 
-    by_channel: dict[int, list[TraceEvent]] = {}
-    for event in hub.tracer.events:
-        by_channel.setdefault(event.channel, []).append(event)
+    by_channel = _traced(hub)
+    mode = hub.mode
+    config = hub.checker.config
+    actual = hub.checker.timings
 
     # Cumulative ladder: each step disables one more mechanism, so
     # consecutive makespan deltas are per-mechanism buckets that sum to
     # the full ladder's total by construction.
     ladder = [
-        ("self_check", mechanisms),
-        ("early_access", replace(mechanisms, early_access=False)),
+        ("self_check", config),
+        ("early_access", replace(config, early_access=False)),
         (
             "early_precharge",
-            replace(mechanisms, early_access=False, early_precharge=False),
+            replace(config, early_access=False, early_precharge=False),
         ),
         (
             "fast_refresh",
             replace(
-                mechanisms,
+                config,
                 early_access=False,
                 early_precharge=False,
                 fast_refresh=False,
             ),
         ),
     ]
-    actual_makespan = 0
-    for events in by_channel.values():
-        trfc_classes = _trfc_class_map(domain)
-        for event in events:
-            trfc = (
-                domain.trfc_cycles(trfc_classes.get(event.row, RowClass.NORMAL))
-                if event.kind == "REFRESH"
-                else 0
-            )
-            end = _command_end(event.kind, event.cycle, domain, trfc)
-            if end > actual_makespan:
-                actual_makespan = end
+    actual_makespan = _actual_makespan(by_channel, actual)
+    makespans, step_delays = _replay_ladder(by_channel, ladder, actual)
 
-    makespans: dict[str, dict[str, int]] = {}
-    step_delays: dict[str, dict] = {}
-    for name, step_mechanisms in ladder:
-        step_domain = _counterfactual_domain(geometry, domain, mode, step_mechanisms)
-        bound_makespans = {}
-        delays: dict[tuple[int, int, int, int], int] = {}
-        for bound, propagate in (("lower", False), ("upper", True)):
-            makespan = 0
-            for events in by_channel.values():
-                channel_makespan, channel_delays = replay_events(
-                    events,
-                    geometry,
-                    step_domain,
-                    mode,
-                    domain,
-                    propagate_shift=propagate,
-                )
-                makespan = max(makespan, channel_makespan)
-                if not propagate:
-                    delays.update(channel_delays)
-            bound_makespans[bound] = makespan
-        makespans[name] = bound_makespans
-        step_delays[name] = delays
-
-    self_check_delta = max(
-        makespans["self_check"]["lower"] - actual_makespan,
-        makespans["self_check"]["upper"] - actual_makespan,
-        key=abs,
-    )
     buckets: dict[str, float] = {name: 0.0 for name in MECHANISMS}
     bucket_bounds: dict[str, dict[str, int]] = {}
     evidence: dict[str, dict] = {}
@@ -282,17 +288,17 @@ def attribute_mechanisms(
             hub.registry.counter(
                 "sim.refresh_slots", channel=channel, kind="skipped"
             ).value
-            for channel in range(geometry.channels)
+            for channel in range(hub.geometry.channels)
         )
     elif refresh_counts is not None:
         skipped = int(refresh_counts.get("skipped", 0))
     else:
         skipped = 0
-    # A skipped slot would have cost its class's tRFC of rank occupancy —
+    # A skipped slot would have cost its kind's tRFC of rank occupancy —
     # an upper bound on wall-clock impact (slots can overlap idle time).
-    skipped_trfc = domain.trfc_cycles(
-        RowClass.MCR if mechanisms.fast_refresh else RowClass.NORMAL
-    )
+    skipped_trfc = actual.trfc[
+        RowKind.MCR if config.fast_refresh else RowKind.NORMAL
+    ]
     buckets["refresh_skipping"] = float(skipped * skipped_trfc)
     bucket_bounds["refresh_skipping"] = {
         "lower": 0,
@@ -320,6 +326,7 @@ def attribute_mechanisms(
         for (ch, cycle, rank, bank), delay in sorted(final_delays.items())
         if delay
     }
+    self_check_delta = _self_check(makespans, actual_makespan)
     return {
         "schema": ATTRIBUTION_SCHEMA_VERSION,
         "mode": mode.label() if hasattr(mode, "label") else str(mode),
@@ -344,76 +351,38 @@ def attribute_mechanisms(
 def attribute_plugin(hub) -> dict:
     """Decompose a latency-mechanism plugin's contribution from one run.
 
-    The counterfactual is the *mechanism-removed* device: a baseline
-    (mode-off, override-free) timing domain. The observed stream is
-    replayed under it with the same slack-absorbing / shift-propagating
-    bracket as :func:`attribute_mechanisms`, and the single
-    ``"mechanism"`` bucket is the midpoint. For the reference MCR plugin
-    prefer :func:`attribute_mechanisms`, which splits the same delta
-    into the paper's four per-mechanism buckets.
+    The counterfactual is the *mechanism-removed* device: conventional
+    DRAM (an :class:`~repro.verify.rules.OracleConfig` with K=1 and no
+    plugin tables). The observed stream is replayed under it with the
+    same slack-absorbing / shift-propagating bracket as
+    :func:`attribute_mechanisms`, and the single ``"mechanism"`` bucket
+    is the midpoint. For the reference MCR plugin prefer
+    :func:`attribute_mechanisms`, which splits the same delta into the
+    paper's four per-mechanism buckets.
 
-    The self-check replays under the run's own domain (including the
-    plugin's timing overrides, which the hub's domain carries) and must
-    reproduce the stream exactly.
+    The self-check replays under the run's own configuration (the
+    oracle's restatement of the plugin's tables) and must reproduce the
+    stream exactly.
     """
-    if hub.tracer is None:
-        raise ValueError("mechanism attribution requires a command trace")
-    geometry = hub.geometry
-    domain = hub.domain
+    from repro.verify.rules import OracleConfig
+
+    by_channel = _traced(hub)
     mode = hub.mode
-
-    by_channel: dict[int, list[TraceEvent]] = {}
-    for event in hub.tracer.events:
-        by_channel.setdefault(event.channel, []).append(event)
-
-    trfc_classes = _trfc_class_map(domain)
-    actual_makespan = 0
-    for events in by_channel.values():
-        for event in events:
-            trfc = (
-                domain.trfc_cycles(trfc_classes.get(event.row, RowClass.NORMAL))
-                if event.kind == "REFRESH"
-                else 0
-            )
-            end = _command_end(event.kind, event.cycle, domain, trfc)
-            if end > actual_makespan:
-                actual_makespan = end
-
-    baseline_mode = MCRModeConfig.off()
-    baseline_domain = TimingDomain(
-        geometry, baseline_mode, base=domain.base, wiring=domain.wiring
+    config = hub.checker.config
+    actual = hub.checker.timings
+    baseline = OracleConfig(
+        rows_per_bank=config.rows_per_bank,
+        rows_per_subarray=config.rows_per_subarray,
+        banks_per_rank=config.banks_per_rank,
+        ranks_per_channel=config.ranks_per_channel,
+        density=config.density,
     )
-    makespans: dict[str, dict[str, int]] = {}
-    step_delays: dict[str, dict] = {}
-    for name, step_domain, step_mode in (
-        ("self_check", domain, mode),
-        ("mechanism_off", baseline_domain, baseline_mode),
-    ):
-        bound_makespans = {}
-        delays: dict[tuple[int, int, int, int], int] = {}
-        for bound, propagate in (("lower", False), ("upper", True)):
-            makespan = 0
-            for events in by_channel.values():
-                channel_makespan, channel_delays = replay_events(
-                    events,
-                    geometry,
-                    step_domain,
-                    step_mode,
-                    domain,
-                    propagate_shift=propagate,
-                )
-                makespan = max(makespan, channel_makespan)
-                if not propagate:
-                    delays.update(channel_delays)
-            bound_makespans[bound] = makespan
-        makespans[name] = bound_makespans
-        step_delays[name] = delays
-
-    self_check_delta = max(
-        makespans["self_check"]["lower"] - actual_makespan,
-        makespans["self_check"]["upper"] - actual_makespan,
-        key=abs,
+    actual_makespan = _actual_makespan(by_channel, actual)
+    makespans, step_delays = _replay_ladder(
+        by_channel, [("self_check", config), ("mechanism_off", baseline)], actual
     )
+
+    self_check_delta = _self_check(makespans, actual_makespan)
     slack = makespans["mechanism_off"]["lower"] - makespans["self_check"]["lower"]
     shifted = makespans["mechanism_off"]["upper"] - makespans["self_check"]["upper"]
     bounds = {"lower": min(slack, shifted), "upper": max(slack, shifted)}

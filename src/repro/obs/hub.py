@@ -7,18 +7,21 @@ so disabled observability costs one branch per command) with every
 issued command and every accepted request. The hub fans those events out
 to whichever components the :class:`ObservabilityConfig` enabled:
 
-- the **tracer** records the command with the gate label the constraint
-  model derived;
+- the **checker** is the differential oracle
+  (:class:`~repro.verify.oracle.ProtocolOracle`): it validates every
+  command against the paper's and JEDEC's rule tables, never against the
+  simulated device's own :class:`~repro.dram.timing.TimingDomain`, and
+  names the constraint that gated it;
+- the **tracer** records the command with that gate label;
 - the **metrics registry** counts commands, classifies request arrivals
   (row hit / conflict / closed bank), samples queue depths, and detects
   sense-amp early-access events (an MCR-row column command issued before
-  the *normal* tRCD would have allowed);
-- the **invariant checker** validates inter-command spacing against the
-  reference :class:`~repro.dram.timing.TimingDomain` as commands issue.
+  the *normal* tRCD would have allowed).
 
-``finalize`` folds end-of-run controller counters (refresh slot mix, row
-hit totals, latency aggregates) into the registry so a single snapshot
-describes the whole run.
+``finalize`` runs the oracle's end-of-run refresh audit and folds
+end-of-run controller counters (refresh slot mix, row hit totals,
+latency aggregates) into the registry so a single snapshot describes
+the whole run.
 """
 
 from __future__ import annotations
@@ -30,14 +33,15 @@ from repro.dram.commands import Command
 from repro.dram.config import DRAMGeometry
 from repro.dram.mcr import MCRModeConfig, RowClass
 from repro.dram.timing import TimingDomain
-from repro.obs.invariants import InvariantChecker, Violation
 from repro.obs.metrics import DEFAULT_QUANTILES, MetricsRegistry
 from repro.obs.profiler import RequestProfiler
 from repro.obs.tracer import CommandTracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.controller.request import MemoryRequest
+    from repro.mechanisms.base import MechanismSpec
     from repro.sim.results import RunResult
+    from repro.verify.oracle import OracleViolation
 
 #: Queue-depth histogram buckets (queues are 32 entries).
 _DEPTH_BUCKETS = (1, 2, 4, 8, 16, 24, 32)
@@ -48,18 +52,13 @@ class ObservabilityConfig:
     """What to observe during a run.
 
     Attributes:
-        trace: Record the command stream (implies running the constraint
-            model for gate labels).
+        trace: Record the command stream (implies running the oracle
+            for gate labels).
         metrics: Collect the metrics registry.
-        invariants: Check inter-command spacing online.
+        invariants: Check every command online against the
+            :mod:`repro.verify` oracle's rule tables.
         profile: Build per-request latency-attribution profiles
             (:mod:`repro.obs.profiler`).
-        fail_fast: Raise :class:`~repro.obs.invariants.InvariantError`
-            at the first violation instead of collecting (CI fuzz mode).
-        reference_domain: Timing domain the checker validates against;
-            defaults to the simulated device's own domain. Pass an
-            independently derived domain to detect a corrupted device
-            timing table.
         max_trace_events: Cap on stored trace events (None = unbounded).
         max_profiles: Cap on stored per-request profiles (aggregates keep
             accumulating past the cap; None = unbounded).
@@ -67,19 +66,15 @@ class ObservabilityConfig:
             snapshots (p50/p95/p99 by default).
         command_sink: Optional callable ``(channel, cmd, row_class)``
             invoked with every issued command. This is the raw
-            command-stream tap external checkers attach to (notably the
-            differential oracle in :mod:`repro.verify`): unlike
-            ``invariants``, it runs *no* simulator-side constraint model,
-            so a sink-only config keeps the run free of shared-fate
-            checking.
+            command-stream tap external checkers attach to (the
+            differential fuzz loop in :mod:`repro.verify` drives its own
+            oracle through it); a sink-only config runs no checker.
     """
 
     trace: bool = False
     metrics: bool = False
     invariants: bool = False
     profile: bool = False
-    fail_fast: bool = False
-    reference_domain: TimingDomain | None = None
     max_trace_events: int | None = None
     max_profiles: int | None = None
     quantiles: tuple[float, ...] = DEFAULT_QUANTILES
@@ -145,14 +140,13 @@ class ObservabilityHub:
         geometry: DRAMGeometry,
         domain: TimingDomain,
         mode: MCRModeConfig,
+        mechanism: "MechanismSpec | None" = None,
+        refresh_enabled: bool = True,
     ) -> None:
         self.config = config
         self.geometry = geometry
         self.domain = domain
         self.mode = mode
-        reference = (
-            config.reference_domain if config.reference_domain is not None else domain
-        )
         self.tracer = (
             CommandTracer(max_events=config.max_trace_events) if config.trace else None
         )
@@ -166,20 +160,20 @@ class ObservabilityHub:
             if config.profile
             else None
         )
-        # The constraint model runs whenever gates are needed (tracing)
-        # or checking was asked for; violations are collected either way.
-        self.checker = (
-            InvariantChecker(
-                geometry,
-                reference,
-                mode,
+        # The oracle runs whenever gates are needed (tracing) or checking
+        # was asked for; violations are collected either way. Imported
+        # here so that runs without either never load repro.verify.
+        self.checker = None
+        if config.trace or config.invariants:
+            from repro.verify.oracle import ProtocolOracle
+            from repro.verify.rules import oracle_config
+
+            self.checker = ProtocolOracle(
+                oracle_config(geometry, mode, mechanism, wiring=domain.wiring),
                 channels=geometry.channels,
-                fail_fast=config.fail_fast,
+                refresh_enabled=refresh_enabled,
             )
-            if (config.trace or config.invariants)
-            else None
-        )
-        self._normal_trcd = reference.row_timings(RowClass.NORMAL).t_rcd
+        self._normal_trcd = domain.row_timings(RowClass.NORMAL).t_rcd
         #: (channel, rank, bank) -> ACT cycle, for early-access detection.
         self._last_act: dict[tuple[int, int, int], int] = {}
         self._finalized = False
@@ -196,7 +190,7 @@ class ObservabilityHub:
     ) -> None:
         gate = ""
         if self.checker is not None:
-            gate = self.checker.check(channel, cmd, row_class)
+            gate = self.checker.check(channel, cmd)
         registry = self.registry
         if registry is not None:
             registry.counter("sim.commands", channel=channel, kind=cmd.kind.name).inc()
@@ -258,10 +252,15 @@ class ObservabilityHub:
     # ------------------------------------------------------------------
 
     def finalize(self, controllers: Sequence) -> None:
-        """Fold end-of-run controller counters into the registry."""
-        if self.registry is None or self._finalized:
+        """Run the oracle's end-of-run refresh audit and fold end-of-run
+        controller counters into the registry; later calls are no-ops."""
+        if self._finalized:
             return
         self._finalized = True
+        if self.checker is not None:
+            self.checker.finalize()
+        if self.registry is None:
+            return
         for channel, controller in enumerate(controllers):
             stats = controller.stats()
             self.registry.counter("sim.row_hits", channel=channel).inc(
@@ -285,7 +284,7 @@ class ObservabilityHub:
         return self.profiler.snapshot() if self.profiler is not None else None
 
     @property
-    def violations(self) -> list[Violation]:
+    def violations(self) -> list["OracleViolation"]:
         return self.checker.violations if self.checker is not None else []
 
     @property
@@ -306,7 +305,7 @@ def observe_run(
     The counterpart of :func:`repro.core.api.run_system` for observed
     runs; extra ``sim_kwargs`` pass straight to
     :class:`~repro.sim.engine.SystemSimulator` (e.g.
-    ``row_timing_overrides`` for fuzzing a corrupted device).
+    ``row_timing_overrides`` to corrupt the device under the checker).
     """
     # Imported here: core.api imports sim.engine, which imports this
     # module — a module-level import would be circular.

@@ -2,13 +2,14 @@
 
 Records every command a run issues — ACT/RD/WR/PRE/REF — with its cycle,
 channel/rank/bank/row coordinates, the row's timing class, and the timing
-constraint that *gated* it (the binding bound from the invariant model,
-or ``queue`` when the scheduler, not a timing constraint, set the issue
-cycle). Events export as JSONL (one object per line, stable key order)
-for tooling, or render as a human-readable timeline for the CLI.
+constraint that *gated* it (the binding bound from the oracle's rule
+tables, or ``queue`` when the scheduler, not a timing constraint, set
+the issue cycle). Events export as JSONL (one object per line, stable
+key order) for tooling, or render as a human-readable timeline for the
+CLI.
 
 The tracer itself is passive storage; gates come from
-:class:`repro.obs.invariants.ConstraintModel` via the hub, so the
+:meth:`repro.verify.oracle.ProtocolOracle.check` via the hub, so the
 timeline and the checker can never disagree about why a command waited.
 """
 

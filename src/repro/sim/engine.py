@@ -70,12 +70,10 @@ class SystemSimulator:
             ``command_log`` (golden-trace tests).
         policy: Scheduling policy (FR-FCFS by default).
         row_timing_overrides / trfc_overrides: Replace derived per-class
-            timings on the simulated device while checkers validate
-            against the true table (see :mod:`repro.obs.fuzz` and
-            :mod:`repro.verify.bugs`).
+            timings on the simulated device while the oracle keeps
+            checking the paper's table (see :mod:`repro.verify.bugs`).
         observability: Observation config; any enabled component —
-            including a bare ``command_sink`` tap, which is how the
-            :mod:`repro.verify` oracle attaches — builds the hub and
+            including a bare ``command_sink`` tap — builds the hub and
             hooks every controller.
     """
 
@@ -158,7 +156,12 @@ class SystemSimulator:
         self.obs: ObservabilityHub | None = None
         if observability is not None and observability.enabled:
             self.obs = ObservabilityHub(
-                observability, self.geometry, self.domain, mode
+                observability,
+                self.geometry,
+                self.domain,
+                mode,
+                mechanism=mechanism,
+                refresh_enabled=refresh_enabled,
             )
             for ch, controller in enumerate(self.controllers):
                 controller.observer = self.obs.channel_observer(ch)

@@ -2,26 +2,27 @@
 config-space fuzzer, and a failure shrinker.
 
 Every mechanism this reproduction models ultimately rests on one
-:class:`repro.dram.timing.TimingDomain` that both the controller and the
-online invariant checker consume — a shared-fate bug there would pass
-every other test. This package closes that gap the way USIMM-class
-simulators are cross-validated (DRAMPower, Ramulator): against a
-from-scratch rule table derived directly from the paper's Table 3 and
-the JEDEC DDR3 values quoted in DESIGN.md.
+:class:`repro.dram.timing.TimingDomain` that the controller consumes — a
+bug there would pass any check that reads the same table. This package
+is the repository's one timing checker, and it closes that gap the way
+USIMM-class simulators are cross-validated (DRAMPower, Ramulator):
+against a from-scratch rule table derived directly from the paper's
+Table 3 and the JEDEC DDR3 values quoted in DESIGN.md.
 
 Independence contract: nothing in ``repro.verify`` imports
-``repro.dram.timing`` or ``repro.obs.invariants`` (asserted by
-``tests/test_verify_rules.py``). The oracle re-derives row classes,
-programmed timings, tRFC scaling and refresh pacing from its own
-constants, and only ever agrees with the engine because both implement
-the same published protocol.
+``repro.dram.timing`` (asserted by ``tests/test_verify_rules.py``). The
+oracle re-derives row classes, programmed timings, tRFC scaling and
+refresh pacing from its own constants, and only ever agrees with the
+engine because both implement the same published protocol.
 
 Entry points:
 
 - :class:`ProtocolOracle` / :func:`replay_commands` — table-driven
-  replay checker for a traced command stream;
-- :mod:`repro.verify.generator` — the seeded config/trace sampler shared
-  with ``repro.obs.fuzz``;
+  checker for a command stream, online (the observability hub's gates
+  and ``invariants``) or replayed from a log;
+- :func:`oracle_config` — the oracle's view of a simulated
+  (geometry, mode, mechanism) configuration;
+- :mod:`repro.verify.generator` — the seeded config/trace sampler;
 - :mod:`repro.verify.metamorphic` — full-run equality identities;
 - :func:`shrink_case` — delta-debugging minimizer for failing
   (config, trace) pairs;
@@ -38,7 +39,6 @@ from repro.verify.corpus import (
     write_artifact,
 )
 from repro.verify.generator import (
-    MODES,
     VerifyCase,
     build_spec,
     build_traces,
@@ -63,6 +63,7 @@ from repro.verify.rules import (
     OracleConfig,
     OracleTimings,
     RowKind,
+    oracle_config,
     oracle_timings,
     row_kind_of,
 )
@@ -73,7 +74,6 @@ __all__ = [
     "CORPUS_SCHEMA_VERSION",
     "DEFAULT_CORPUS_DIR",
     "IDENTITIES",
-    "MODES",
     "OracleConfig",
     "OracleTimings",
     "OracleViolation",
@@ -93,6 +93,7 @@ __all__ = [
     "fuzz_geometry",
     "load_artifact",
     "miss_heavy_trace",
+    "oracle_config",
     "oracle_timings",
     "random_trace",
     "refresh_heavy_trace",

@@ -1,9 +1,6 @@
 """Seeded config-space and trace sampling — the one source of randomized
-stimuli for both fuzzers.
-
-:mod:`repro.obs.fuzz` (the invariant-checker fuzz step) and
-``python -m repro.verify`` (the differential fuzz step) draw geometries,
-modes and traces from here, so a stimulus-space improvement reaches both.
+stimuli for the differential fuzz step (``python -m repro.verify``) and
+the tests that need small random devices and traces.
 
 The unit of sampling is a :class:`VerifyCase`: a plain-data description
 of one (geometry, MCR mode, mechanisms, mapping, policy, trace) tuple.
@@ -19,7 +16,7 @@ import random
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.verify.rules import OracleConfig
+from repro.verify.rules import OracleConfig, oracle_config
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.trace import Trace
@@ -29,11 +26,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # imported lazily inside functions. Importing repro.verify must load no
 # simulator module — repro.dram's package init alone pulls in the timing
 # implementation the oracle exists to cross-check.
-
-#: Mode strings the legacy invariant fuzzer samples (kept for
-#: ``repro.obs.fuzz``); :func:`sample_case` draws from the richer
-#: :data:`KM_CHOICES` space instead.
-MODES = ("off", "2/2x/100%reg", "4/4x/100%reg", "2/2x/50%reg")
 
 #: (K, M) pairs the paper publishes timings for (Table 3 columns).
 KM_CHOICES: tuple[tuple[int, int], ...] = (
@@ -311,65 +303,10 @@ class VerifyCase:
         raise ValueError(f"unknown mechanism {self.mechanism!r}")
 
     def oracle_config(self) -> OracleConfig:
-        """The oracle's independent view of the same configuration.
-
-        For plugin cases this is the *device* configuration the plugin
-        installs, restated independently: CLR is a k=2/m=1 coupled
-        region refreshed at the normal rate with half its passes
-        skipped; ChargeCache is conventional DRAM plus the shadow
-        charge table parameters.
-        """
-        if self.mechanism == "clr" and self.clr_fraction_pct > 0:
-            return OracleConfig(
-                rows_per_bank=self.rows_per_bank,
-                rows_per_subarray=self.rows_per_subarray,
-                banks_per_rank=self.banks_per_rank,
-                ranks_per_channel=self.ranks_per_channel,
-                density=self.density,
-                k=2,
-                m=1,
-                region_fraction=self.clr_fraction_pct / 100.0,
-                fast_refresh=False,
-                refresh_skipping=True,
-                mechanism="clr",
-            )
-        if self.mechanism == "chargecache" and self.cc_capacity > 0:
-            return OracleConfig(
-                rows_per_bank=self.rows_per_bank,
-                rows_per_subarray=self.rows_per_subarray,
-                banks_per_rank=self.banks_per_rank,
-                ranks_per_channel=self.ranks_per_channel,
-                density=self.density,
-                mechanism="chargecache",
-                cc_capacity=self.cc_capacity,
-                cc_window_ns=self.cc_window_ns,
-            )
-        if self.mechanism != "mcr":
-            # A plugin at its disabled point (fraction 0 / capacity 0)
-            # is conventional DRAM; the oracle checks it as such.
-            return OracleConfig(
-                rows_per_bank=self.rows_per_bank,
-                rows_per_subarray=self.rows_per_subarray,
-                banks_per_rank=self.banks_per_rank,
-                ranks_per_channel=self.ranks_per_channel,
-                density=self.density,
-            )
-        return OracleConfig(
-            rows_per_bank=self.rows_per_bank,
-            rows_per_subarray=self.rows_per_subarray,
-            banks_per_rank=self.banks_per_rank,
-            ranks_per_channel=self.ranks_per_channel,
-            density=self.density,
-            k=self.k,
-            m=self.m,
-            region_fraction=self.region_pct / 100.0,
-            alt_k=self.alt_k,
-            alt_m=self.alt_m,
-            alt_region_fraction=self.alt_region_pct / 100.0,
-            early_access=self.early_access,
-            early_precharge=self.early_precharge,
-            fast_refresh=self.fast_refresh,
-            refresh_skipping=self.refresh_skipping,
+        """The oracle's independent view of the same configuration (see
+        :func:`repro.verify.rules.oracle_config`)."""
+        return oracle_config(
+            self.geometry(), self.mode().config, self.mechanism_spec()
         )
 
     # -- serialization --------------------------------------------------
@@ -538,7 +475,6 @@ __all__ = [
     "CLR_FRACTION_CHOICES",
     "KM_CHOICES",
     "MECHANISM_CHOICES",
-    "MODES",
     "REGION_PCT_CHOICES",
     "VerifyCase",
     "build_spec",

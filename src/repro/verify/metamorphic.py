@@ -15,7 +15,8 @@ The identities:
   on and off are the same machine;
 - ``obs-transparent``: full observability (tracer + metrics + checker +
   profiler) must not change the simulated outcome — equal RunResult once
-  the observation payloads themselves are stripped;
+  the observation payloads themselves are stripped — and the profile
+  must conserve latency (its component totals sum exactly to the total);
 - ``column-permutation``: XOR-ing a constant onto every address's column
   bits permutes cache lines within rows and nothing else, so every
   aggregate statistic is unchanged;
@@ -173,6 +174,8 @@ def _obs_transparent(rng: random.Random) -> str | None:
             trace=True, metrics=True, invariants=True, profile=True
         ),
     )
+    if not observed.profile["conserved"]:
+        return f"profile components do not sum to latency (seed={case.seed})"
     bare = run_case(case)
     return _diff(
         f"observability changed the run (seed={case.seed})",

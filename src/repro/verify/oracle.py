@@ -1,8 +1,8 @@
-"""Table-driven replay oracle for traced command streams.
+"""Table-driven protocol oracle: the repository's one timing checker.
 
-The oracle consumes the command stream a run issued (via the
-observability hub's command tap) and re-checks every command against the
-independent rule tables in :mod:`repro.verify.rules`:
+The oracle consumes the command stream a run issued and re-checks every
+command against the independent rule tables in
+:mod:`repro.verify.rules`:
 
 - **spacing**: every :class:`~repro.verify.rules.SpacingRule` whose
   history applies must be satisfied (``cycle >= bound``);
@@ -15,14 +15,19 @@ independent rule tables in :mod:`repro.verify.rules`:
   implied by the refresh mix, and (for runs covering full windows) the
   exact per-window issued count.
 
-It shares *no* timing code with ``repro.dram.timing`` or
-``repro.obs.invariants``; the shadow state below is written against the
-rule-table interface, not against any simulator structure. Commands are
-read duck-typed — anything with ``cycle``, ``kind.name``, ``rank``,
-``bank``, ``row`` fields — so this module (like the rule tables) loads
-without a single simulator module; the real
-:class:`repro.dram.commands.Command` objects only arrive through the tap
-at run time.
+It shares *no* timing code with ``repro.dram.timing``; the shadow state
+below is written against the rule-table interface, not against any
+simulator structure. The same shadow state serves three callers:
+online, the observability hub checks each command as it issues and
+hands the returned gate label to the tracer; post hoc,
+:func:`replay_commands` replays a recorded log; and
+:mod:`repro.obs.attribution` drives :meth:`ProtocolOracle.bounds` and
+:meth:`ProtocolOracle.observe` under counterfactual configurations.
+
+Commands are read duck-typed — anything with ``cycle``, ``kind.name``,
+``rank``, ``bank``, ``row`` fields — so this module (like the rule
+tables) loads without a single simulator module; the real
+:class:`repro.dram.commands.Command` objects only arrive at run time.
 """
 
 from __future__ import annotations
@@ -55,6 +60,12 @@ _PACING_SLACK_SLOTS: int = 1
 #: commands through the spread mix fraction (the interleave guarantees
 #: each kind stays within floor/ceil of its fair share per prefix).
 _MIX_SLACK_SLOTS: int = 2
+
+#: Gate label for a command that was legal earlier than it issued — the
+#: scheduler or request arrival, not a timing constraint, delayed it.
+GATE_QUEUE = "queue"
+#: Gate label for a command with no applicable constraint history.
+GATE_READY = "ready"
 
 
 @dataclass(frozen=True)
@@ -266,7 +277,7 @@ class _ChannelShadow:
 
 
 class ProtocolOracle:
-    """Replays a command stream against the independent rule tables.
+    """Checks a command stream against the independent rule tables.
 
     Args:
         config: The device/mode description (:class:`OracleConfig`).
@@ -299,30 +310,54 @@ class ProtocolOracle:
 
     # ------------------------------------------------------------------
 
-    def check(self, channel: int, cmd) -> None:
-        """Validate one command, then fold it into the shadow state."""
+    def bounds(self, channel: int, cmd) -> list[tuple[str, int]]:
+        """``(rule name, earliest legal cycle)`` of every spacing rule
+        whose history applies to ``cmd``, in table order."""
+        shadow = self._shadows[channel]
         kind = cmd.kind.name
+        found = []
+        for rule in SPACING_RULES:
+            if kind in rule.applies_to:
+                bound = rule.bound(shadow, cmd, self.timings)
+                if bound is not None:
+                    found.append((rule.name, bound))
+        return found
+
+    def observe(self, channel: int, cmd) -> None:
+        """Fold ``cmd`` into the channel's shadow history unchecked."""
+        self._shadows[channel].observe(cmd)
+
+    def check(self, channel: int, cmd) -> str:
+        """Validate one command, fold it into the shadow state, and
+        return its gate: the rule whose bound made ``cmd.cycle`` the
+        earliest legal issue cycle (the first in table order on a tie),
+        or :data:`GATE_QUEUE` / :data:`GATE_READY`."""
+        kind = cmd.kind.name
+        shadow = self._shadows[channel]
         if kind == "MRS":
             # Mode-register traffic carries no bank/row state; it only
             # occupies the command bus, which the next command's
             # command-bus rule sees through last_cmd_cycle.
-            self._shadows[channel].last_cmd_cycle = cmd.cycle
-            return
-        shadow = self._shadows[channel]
+            shadow.last_cmd_cycle = cmd.cycle
+            return GATE_READY
         self.commands += 1
         self._last_cycle[channel] = cmd.cycle
         for rule in STRUCTURAL_RULES:
             if kind in rule.applies_to and rule.violated(shadow, cmd):
                 self._flag(channel, rule.name, cmd, None)
-        for rule in SPACING_RULES:
-            if kind not in rule.applies_to:
-                continue
-            bound = rule.bound(shadow, cmd, self.timings)
-            if bound is not None and cmd.cycle < bound:
-                self._flag(channel, rule.name, cmd, bound)
+        gate = GATE_READY
+        earliest = None
+        for name, bound in self.bounds(channel, cmd):
+            if cmd.cycle < bound:
+                self._flag(channel, name, cmd, bound)
+            if earliest is None or bound > earliest:
+                gate, earliest = name, bound
+        if earliest is not None and cmd.cycle > earliest:
+            gate = GATE_QUEUE
         if kind == "REFRESH" and self.refresh_enabled:
             self._check_refresh_pacing(channel, cmd)
         shadow.observe(cmd)
+        return gate
 
     def _flag(self, channel: int, rule: str, cmd, required: int | None) -> None:
         self.violations.append(
@@ -434,8 +469,8 @@ def run_case_with_oracle(case, bug: str | None = None):
     of the synthetic timing bugs (:mod:`repro.verify.bugs`) into the
     simulated device; the oracle still checks the paper's truth.
     """
-    # Imported here: generator -> core.api -> sim.engine -> obs.hub; a
-    # module-level import would be circular for the obs.fuzz consumer.
+    # Imported here: importing repro.verify must load no simulator
+    # module, and obs.hub pulls in the whole observability package.
     from repro.obs.hub import ObservabilityConfig, observe_run
     from repro.verify.bugs import apply_bug
     from repro.verify.generator import build_spec, build_traces
@@ -465,6 +500,8 @@ def run_case_with_oracle(case, bug: str | None = None):
 
 
 __all__ = [
+    "GATE_QUEUE",
+    "GATE_READY",
     "OracleViolation",
     "ProtocolOracle",
     "replay_commands",

@@ -23,12 +23,12 @@ re-states, as data:
   numbers are written down twice on purpose (pipeline independence).
 
 Independence contract: this module must not import
-``repro.dram.timing`` or ``repro.obs.invariants`` (or anything that
-transitively supplies their derived numbers — ``repro.dram``'s package
-init pulls the timing model in, so nothing from ``repro.dram`` may load
-here at all). Commands are identified by their *kind names* ("ACTIVATE",
-"READ", ...), the protocol's vocabulary, rather than by the simulator's
-enum objects; the oracle reads ``cmd.kind.name`` at the tap boundary.
+``repro.dram.timing`` (or anything that transitively supplies its
+derived numbers — ``repro.dram``'s package init pulls the timing model
+in, so nothing from ``repro.dram`` may load here at all). Commands are
+identified by their *kind names* ("ACTIVATE", "READ", ...), the
+protocol's vocabulary, rather than by the simulator's enum objects; the
+oracle reads ``cmd.kind.name`` at the tap boundary.
 """
 
 from __future__ import annotations
@@ -80,6 +80,12 @@ CLR_TRFC_NS: float = 208.0
 #: ``repro.mechanisms.chargecache`` programs for ``RowKind.CHARGED``.
 CHARGECACHE_TRCD_NS: float = 7.7
 CHARGECACHE_TRAS_NS: float = 22.4
+
+#: The plugins' parameter defaults, restated the same way: a spec that
+#: omits a parameter runs the plugin at its default.
+CLR_DEFAULT_FRACTION_PCT: int = 50
+CHARGECACHE_DEFAULT_CAPACITY: int = 128
+CHARGECACHE_DEFAULT_WINDOW_NS: float = 1_000_000.0
 
 #: JEDEC DDR3 base (1x) tRFC per device density, ns.
 JEDEC_TRFC_NS: dict[str, float] = {
@@ -177,6 +183,83 @@ class OracleConfig:
         return self.enabled and self.alt_k > 1 and self.alt_region_fraction > 0.0
 
 
+def oracle_config(geometry, mode, mechanism=None, wiring=None) -> OracleConfig:
+    """The oracle's view of one simulated configuration.
+
+    Arguments are read duck-typed, so this module still loads no
+    simulator code: ``geometry`` needs a DRAMGeometry's row, bank and
+    rank counts and density; ``mode`` an MCRModeConfig's K/M/region
+    fields and ``mechanisms`` flags; ``mechanism`` a MechanismSpec's
+    ``name`` and ``get`` (None is the paper's device); ``wiring`` a
+    refresh-counter wiring (by name).
+
+    A plugin device is restated from its own description, never read
+    back from the plugin: CLR is a k=2/m=1 coupled region refreshed at
+    the normal rate with half its passes skipped; ChargeCache is
+    conventional DRAM plus the shadow charge table. A plugin at its
+    disabled point (fraction 0 / capacity 0) is conventional DRAM.
+    Plugins refuse to compose with an MCR mode, so ``mode`` only
+    matters for the paper's device.
+
+    Raises ValueError for configurations the tables cannot state.
+    """
+    if getattr(wiring, "name", wiring) == "K_TO_K":
+        raise ValueError(
+            "the oracle cannot check WiringMethod.K_TO_K: its tRAS comes "
+            "from the circuit restore model, which the rule tables do not "
+            "restate"
+        )
+    device = dict(
+        rows_per_bank=geometry.rows_per_bank,
+        rows_per_subarray=geometry.rows_per_subarray,
+        banks_per_rank=geometry.banks_per_rank,
+        ranks_per_channel=geometry.ranks_per_channel,
+        density=geometry.density,
+    )
+    name = "mcr" if mechanism is None else mechanism.name
+    if name == "clr":
+        pct = int(mechanism.get("fraction_pct", CLR_DEFAULT_FRACTION_PCT))
+        if pct == 0:
+            return OracleConfig(**device)
+        return OracleConfig(
+            **device,
+            k=2,
+            m=1,
+            region_fraction=pct / 100.0,
+            fast_refresh=False,
+            refresh_skipping=True,
+            mechanism="clr",
+        )
+    if name == "chargecache":
+        capacity = int(mechanism.get("capacity", CHARGECACHE_DEFAULT_CAPACITY))
+        if capacity == 0:
+            return OracleConfig(**device)
+        return OracleConfig(
+            **device,
+            mechanism="chargecache",
+            cc_capacity=capacity,
+            cc_window_ns=float(
+                mechanism.get("window_ns", CHARGECACHE_DEFAULT_WINDOW_NS)
+            ),
+        )
+    if name != "mcr":
+        raise ValueError(f"the oracle has no rule table for mechanism {name!r}")
+    flags = mode.mechanisms
+    return OracleConfig(
+        **device,
+        k=mode.k,
+        m=mode.m,
+        region_fraction=mode.region_fraction,
+        alt_k=mode.alt_k,
+        alt_m=mode.alt_m,
+        alt_region_fraction=mode.alt_region_fraction,
+        early_access=flags.early_access,
+        early_precharge=flags.early_precharge,
+        fast_refresh=flags.fast_refresh,
+        refresh_skipping=flags.refresh_skipping,
+    )
+
+
 def row_kind_of(config: OracleConfig, row: int) -> RowKind:
     """Which timing class a row belongs to — re-derived from paper Fig. 6.
 
@@ -233,8 +316,8 @@ class OracleTimings:
     trfc: dict[RowKind, int]
 
     def constraint_table(self) -> dict[str, int]:
-        """Flat name -> cycles view (same naming convention the
-        simulator's observability layer uses, so tests can diff the two
+        """Flat name -> cycles view (same naming convention as
+        ``TimingDomain.constraint_table``, so tests can diff the two
         tables directly)."""
         table = dict(self.base)
         for kind in RowKind:
@@ -412,8 +495,10 @@ def _rank(state, cmd):
     return state.rank(cmd.rank)
 
 
+#: Table order is gate precedence: when several bounds tie at a
+#: command's issue cycle, the first such rule here names its gate.
 SPACING_RULES: tuple[SpacingRule, ...] = (
-    # -- channel scope ---------------------------------------------------
+    # -- every command ---------------------------------------------------
     SpacingRule(
         "command-bus",
         _ALL,
@@ -423,19 +508,29 @@ SPACING_RULES: tuple[SpacingRule, ...] = (
         else s.last_cmd_cycle + 1,
     ),
     SpacingRule(
-        "data-bus",
-        _COL,
-        "channel",
-        lambda s, cmd, t: s.data_bus_bound(cmd, t),
-    ),
-    # -- rank scope ------------------------------------------------------
-    SpacingRule(
         "tRFC",
         _ALL,
         "rank",
         lambda s, cmd, t: None
         if _rank(s, cmd).ref_cycle is None
         else _rank(s, cmd).ref_cycle + _rank(s, cmd).ref_trfc,
+    ),
+    # -- ACTIVATE --------------------------------------------------------
+    SpacingRule(
+        "tRC",
+        _ACT,
+        "bank",
+        lambda s, cmd, t: None
+        if _bank(s, cmd).act_cycle is None
+        else _bank(s, cmd).act_cycle + t.trc[_bank(s, cmd).act_kind],
+    ),
+    SpacingRule(
+        "tRP",
+        _ACT,
+        "bank",
+        lambda s, cmd, t: None
+        if _bank(s, cmd).pre_cycle is None
+        else _bank(s, cmd).pre_cycle + t.base["tRP"],
     ),
     SpacingRule(
         "tRRD",
@@ -452,6 +547,15 @@ SPACING_RULES: tuple[SpacingRule, ...] = (
         lambda s, cmd, t: None
         if len(_rank(s, cmd).act_cycles) < 4
         else _rank(s, cmd).act_cycles[0] + t.base["tFAW"],
+    ),
+    # -- READ / WRITE ----------------------------------------------------
+    SpacingRule(
+        "tRCD",
+        _COL,
+        "bank",
+        lambda s, cmd, t: None
+        if _bank(s, cmd).act_cycle is None or _bank(s, cmd).open_row is None
+        else _bank(s, cmd).act_cycle + t.trcd[_bank(s, cmd).act_kind],
     ),
     SpacingRule(
         "tCCD",
@@ -473,36 +577,12 @@ SPACING_RULES: tuple[SpacingRule, ...] = (
         + t.base["tWTR"],
     ),
     SpacingRule(
-        "tRP-before-REF",
-        _REF,
-        "rank",
-        lambda s, cmd, t: s.latest_pre_bound(cmd.rank, t),
-    ),
-    # -- bank scope ------------------------------------------------------
-    SpacingRule(
-        "tRP",
-        _ACT,
-        "bank",
-        lambda s, cmd, t: None
-        if _bank(s, cmd).pre_cycle is None
-        else _bank(s, cmd).pre_cycle + t.base["tRP"],
-    ),
-    SpacingRule(
-        "tRC",
-        _ACT,
-        "bank",
-        lambda s, cmd, t: None
-        if _bank(s, cmd).act_cycle is None
-        else _bank(s, cmd).act_cycle + t.trc[_bank(s, cmd).act_kind],
-    ),
-    SpacingRule(
-        "tRCD",
+        "data-bus",
         _COL,
-        "bank",
-        lambda s, cmd, t: None
-        if _bank(s, cmd).act_cycle is None or _bank(s, cmd).open_row is None
-        else _bank(s, cmd).act_cycle + t.trcd[_bank(s, cmd).act_kind],
+        "channel",
+        lambda s, cmd, t: s.data_bus_bound(cmd, t),
     ),
+    # -- PRECHARGE -------------------------------------------------------
     SpacingRule(
         "tRAS",
         _PRE,
@@ -522,6 +602,13 @@ SPACING_RULES: tuple[SpacingRule, ...] = (
         _PRE,
         "bank",
         lambda s, cmd, t: s.read_to_precharge_bound(cmd, t),
+    ),
+    # -- REFRESH ---------------------------------------------------------
+    SpacingRule(
+        "tRP-before-REF",
+        _REF,
+        "rank",
+        lambda s, cmd, t: s.latest_pre_bound(cmd.rank, t),
     ),
 )
 
@@ -563,8 +650,11 @@ STRUCTURAL_RULES: tuple[StructuralRule, ...] = (
 
 
 __all__ = [
+    "CHARGECACHE_DEFAULT_CAPACITY",
+    "CHARGECACHE_DEFAULT_WINDOW_NS",
     "CHARGECACHE_TRAS_NS",
     "CHARGECACHE_TRCD_NS",
+    "CLR_DEFAULT_FRACTION_PCT",
     "CLR_TRAS_NS",
     "CLR_TRCD_NS",
     "CLR_TRFC_NS",
@@ -590,6 +680,7 @@ __all__ = [
     "cycles",
     "issued_refresh_fraction",
     "legal_trfc_values",
+    "oracle_config",
     "oracle_timings",
     "refresh_slot_mix",
     "row_kind_of",

@@ -2,8 +2,9 @@
 
 No cores involved: requests are injected at random arrival cycles and the
 controller is driven to completion. Afterwards we assert every request
-was serviced and the recorded command stream passes the independent
-timing audit — under every scheduling policy and several MCR modes.
+was serviced and the recorded command stream replays clean through the
+independent oracle — under every scheduling policy and several MCR
+modes.
 """
 
 import pytest
@@ -16,7 +17,8 @@ from repro.dram.config import single_core_geometry
 from repro.dram.mcr import MCRGenerator, MCRModeConfig
 from repro.dram.refresh import RefreshPlan
 from repro.dram.timing import TimingDomain
-from repro.sim.audit import audit_commands
+from repro.verify.oracle import replay_commands
+from repro.verify.rules import oracle_config
 
 
 def build_controller(mode, policy, refresh=True):
@@ -114,15 +116,16 @@ class TestControllerFuzz:
             "4/4x": MCRModeConfig(k=4, m=4, region_fraction=1.0),
             "2/4x-50": MCRModeConfig(k=4, m=2, region_fraction=0.5),
         }[mode_key]
-        controller, geometry, domain = build_controller(mode, policy)
+        controller, geometry, _ = build_controller(mode, policy)
         reads_in = sum(1 for r in stream if not r["is_write"])
         served = drive(controller, stream)
         assert served == reads_in
         assert controller.outstanding() == 0
-        report = audit_commands(
-            controller.channel.command_log, geometry, domain, mode
+        violations = replay_commands(
+            [(0, cmd) for cmd in controller.channel.command_log],
+            oracle_config(geometry, mode),
         )
-        assert report.clean, [str(v) for v in report.violations[:5]]
+        assert not violations, [str(v) for v in violations[:5]]
 
     @settings(max_examples=10, deadline=None)
     @given(request_streams())

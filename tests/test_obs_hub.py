@@ -1,6 +1,7 @@
 """Edge-case tests for the observability hub and channel observers."""
 
 from repro.core.mcr_mode import MCRMode
+from repro.dram.commands import Command, CommandType
 from repro.dram.config import single_core_geometry
 from repro.dram.timing import TimingDomain
 from repro.obs import ObservabilityConfig, ObservabilityHub, observe_run
@@ -40,7 +41,7 @@ class TestDisabledComponents:
     def test_trace_only_hub_skips_metrics_paths(self):
         hub = _hub(ObservabilityConfig(trace=True))
         assert hub.registry is None
-        assert hub.checker is not None  # gates need the constraint model
+        assert hub.checker is not None  # gates need the oracle
         hub.channel_observer(0).on_enqueue(_FakeRequest(), 1, 0, open_row=5)
         assert hub.metrics_snapshot() is None
 
@@ -62,7 +63,7 @@ class TestMultiChannelIsolation:
         import random
 
         from repro.core.api import SystemSpec
-        from repro.obs.fuzz import fuzz_geometry, random_trace
+        from repro.verify.generator import fuzz_geometry, random_trace
 
         geometry = fuzz_geometry(channels=2)
         traces = [random_trace(random.Random(21), geometry, 120)]
@@ -93,6 +94,20 @@ class TestFinalize:
         # not double the refresh/row-hit counters.
         hub.finalize(controllers=[])
         assert hub.metrics_snapshot() == first
+
+    def test_finalize_twice_audits_refresh_once(self):
+        """finalize runs the oracle's end-of-run refresh audit; a second
+        call must not append its findings again."""
+        hub = _hub(ObservabilityConfig(invariants=True))
+        starved = 40 * hub.domain.base.t_refi  # no REFRESH in 40 slots
+        hub.on_command(
+            0, Command(starved, CommandType.ACTIVATE, 0, rank=0, bank=0, row=1), None
+        )
+        hub.finalize(controllers=[])
+        first = list(hub.violations)
+        assert "refresh-starvation" in {v.rule for v in first}
+        hub.finalize(controllers=[])
+        assert hub.violations == first
 
     def test_finalize_without_registry_is_noop(self):
         hub = _hub(ObservabilityConfig(invariants=True))

@@ -1,4 +1,9 @@
-"""Unit and end-to-end tests for the online invariant checker."""
+"""Unit and end-to-end tests for online checking through the hub.
+
+With ``trace`` or ``invariants`` on, the observability hub checks every
+command against the :mod:`repro.verify` oracle's rule tables and hands
+the oracle's gate label to the tracer.
+"""
 
 import random
 
@@ -9,23 +14,11 @@ from repro.core.mcr_mode import MCRMode
 from repro.dram.commands import Command, CommandType
 from repro.dram.config import DRAMGeometry
 from repro.dram.mcr import RowClass
-from repro.dram.timing import TimingDomain
-from repro.obs import (
-    GATE_QUEUE,
-    GATE_READY,
-    InvariantChecker,
-    InvariantError,
-    ObservabilityConfig,
-    observe_run,
-)
-from repro.obs.fuzz import (
-    corrupted_trcd_overrides,
-    fuzz_geometry,
-    main as fuzz_main,
-    miss_heavy_trace,
-    run_clean_iteration,
-    run_corrupted_iteration,
-)
+from repro.dram.refresh import WiringMethod
+from repro.dram.timing import RowTimings, TimingDomain
+from repro.obs import ObservabilityConfig, ObservabilityHub, observe_run
+from repro.verify.generator import fuzz_geometry, miss_heavy_trace
+from repro.verify.oracle import GATE_QUEUE, GATE_READY
 
 
 def _geometry():
@@ -40,12 +33,19 @@ def _geometry():
     )
 
 
-def _checker(fail_fast=False):
+def _hub():
+    """A tracing hub over conventional DRAM, plus the device's domain."""
     geometry = _geometry()
-    domain = TimingDomain(geometry, MCRMode.off().config)
-    return InvariantChecker(
-        geometry, domain, MCRMode.off().config, fail_fast=fail_fast
-    ), domain
+    mode = MCRMode.off().config
+    domain = TimingDomain(geometry, mode)
+    config = ObservabilityConfig(trace=True, invariants=True)
+    return ObservabilityHub(config, geometry, domain, mode), domain
+
+
+def _issue(hub, cmd):
+    """Feed one command through the hub; returns its traced gate."""
+    hub.on_command(0, cmd, RowClass.NORMAL)
+    return hub.tracer.events[-1].gate
 
 
 def _act(cycle, row=5, rank=0, bank=0):
@@ -58,69 +58,74 @@ def _read(cycle, row=5, rank=0, bank=0, column=0):
     )
 
 
+def _shaved_trcd(domain, cycles=6):
+    """Device overrides lowering every row class's tRCD by ``cycles``."""
+    return {
+        row_class: RowTimings(
+            t_rcd=max(1, domain.row_timings(row_class).t_rcd - cycles),
+            t_ras=domain.row_timings(row_class).t_ras,
+            t_rc=domain.row_timings(row_class).t_rc,
+        )
+        for row_class in RowClass
+    }
+
+
 class TestConstraintGates:
     def test_first_command_is_ready(self):
-        checker, _ = _checker()
-        assert checker.check(0, _act(0)) == GATE_READY
-        assert checker.clean
+        hub, _ = _hub()
+        assert _issue(hub, _act(0)) == GATE_READY
+        assert hub.clean
 
     def test_trcd_gates_prompt_column(self):
-        checker, domain = _checker()
+        hub, domain = _hub()
         t_rcd = domain.row_timings(RowClass.NORMAL).t_rcd
-        checker.check(0, _act(100))
-        gate = checker.check(0, _read(100 + t_rcd))
-        assert gate == "tRCD"
-        assert checker.clean
-        assert checker.commands == 2
+        _issue(hub, _act(100))
+        assert _issue(hub, _read(100 + t_rcd)) == "tRCD"
+        assert hub.clean
+        assert hub.checker.commands == 2
 
     def test_late_column_gate_is_queue(self):
-        checker, domain = _checker()
+        hub, domain = _hub()
         t_rcd = domain.row_timings(RowClass.NORMAL).t_rcd
-        checker.check(0, _act(100))
-        assert checker.check(0, _read(100 + t_rcd + 50)) == GATE_QUEUE
-        assert checker.clean
+        _issue(hub, _act(100))
+        assert _issue(hub, _read(100 + t_rcd + 50)) == GATE_QUEUE
+        assert hub.clean
 
     def test_early_column_is_violation(self):
-        checker, domain = _checker()
+        hub, domain = _hub()
         t_rcd = domain.row_timings(RowClass.NORMAL).t_rcd
-        checker.check(0, _act(100))
-        checker.check(0, _read(100 + t_rcd - 1))
-        assert not checker.clean
-        violation = checker.violations[0]
-        assert violation.constraint == "tRCD"
+        _issue(hub, _act(100))
+        _issue(hub, _read(100 + t_rcd - 1))
+        assert not hub.clean
+        violation = hub.violations[0]
+        assert violation.rule == "tRCD"
         assert violation.required_cycle == 100 + t_rcd
         assert "tRCD" in str(violation)
 
     def test_column_to_closed_bank_is_structural(self):
-        checker, _ = _checker()
-        checker.check(0, _read(500))
-        assert [v.constraint for v in checker.violations] == [
-            "column-to-closed-bank"
-        ]
+        hub, _ = _hub()
+        _issue(hub, _read(500))
+        assert [v.rule for v in hub.violations] == ["column-to-closed-bank"]
 
     def test_activate_open_bank_is_structural(self):
-        checker, _ = _checker()
-        checker.check(0, _act(0, row=1))
-        checker.check(0, _act(1000, row=2))
-        assert "ACT-to-open-bank" in [v.constraint for v in checker.violations]
+        hub, _ = _hub()
+        _issue(hub, _act(0, row=1))
+        _issue(hub, _act(1000, row=2))
+        assert "ACT-to-open-bank" in [v.rule for v in hub.violations]
 
     def test_command_bus_conflict(self):
-        checker, _ = _checker()
-        checker.check(0, _act(100, bank=0))
-        checker.check(0, _act(100, bank=1, row=9))
-        assert "command-bus" in [v.constraint for v in checker.violations]
-
-    def test_fail_fast_raises(self):
-        checker, _ = _checker(fail_fast=True)
-        with pytest.raises(InvariantError, match="column-to-closed-bank"):
-            checker.check(0, _read(10))
+        hub, _ = _hub()
+        _issue(hub, _act(100, bank=0))
+        _issue(hub, _act(100, bank=1, row=9))
+        assert "command-bus" in [v.rule for v in hub.violations]
 
     def test_check_log_replays(self):
-        checker, domain = _checker()
+        hub, domain = _hub()
         t_rcd = domain.row_timings(RowClass.NORMAL).t_rcd
-        log = [_act(0), _read(t_rcd)]
-        assert checker.check_log(log) == []
-        assert checker.commands == 2
+        for cmd in [_act(0), _read(t_rcd)]:
+            _issue(hub, cmd)
+        assert hub.violations == []
+        assert hub.checker.commands == 2
 
 
 class TestObservedRuns:
@@ -141,33 +146,51 @@ class TestObservedRuns:
         assert gates - {GATE_READY, GATE_QUEUE}, "no timing-gated commands?"
 
     def test_corrupted_trcd_detected(self):
-        """The acceptance criterion: a deliberately corrupted device tRCD
-        must surface as checker violations when validating against an
-        independently derived reference domain."""
+        """A deliberately corrupted device tRCD must surface as checker
+        violations: the oracle checks the paper's table, not the
+        device's own."""
         rng = random.Random(7)
         geometry = fuzz_geometry(channels=1)
         mode = MCRMode.off()
-        true_domain = TimingDomain(geometry, mode.config)
         _, hub = observe_run(
             [miss_heavy_trace(rng, geometry, 120)],
             mode,
             spec=SystemSpec(geometry=geometry),
-            config=ObservabilityConfig(
-                invariants=True, reference_domain=true_domain
-            ),
-            row_timing_overrides=corrupted_trcd_overrides(true_domain),
+            config=ObservabilityConfig(invariants=True),
+            row_timing_overrides=_shaved_trcd(TimingDomain(geometry, mode.config)),
         )
-        assert any(v.constraint == "tRCD" for v in hub.violations)
+        assert any(v.rule == "tRCD" for v in hub.violations)
 
-    def test_fuzz_iterations(self):
+    @pytest.mark.parametrize(
+        "config",
+        [ObservabilityConfig(trace=True), ObservabilityConfig(invariants=True)],
+        ids=["trace", "invariants"],
+    )
+    def test_k_to_k_wiring_is_rejected(self, config):
+        """Under K-to-K wiring tRAS comes from the circuit restore model,
+        which the rule tables do not restate: fail loudly rather than
+        check or label gates against the wrong table."""
         rng = random.Random(3)
-        assert run_clean_iteration(rng) == []
-        assert run_corrupted_iteration(rng) == []
+        geometry = fuzz_geometry(channels=1)
+        with pytest.raises(ValueError, match="WiringMethod.K_TO_K"):
+            observe_run(
+                [miss_heavy_trace(rng, geometry, 20)],
+                "4/4x/100%reg",
+                spec=SystemSpec(geometry=geometry, wiring=WiringMethod.K_TO_K),
+                config=config,
+            )
 
-    def test_fuzz_main_smoke(self, capsys):
-        # --seconds 0 still runs one clean and one corrupted iteration.
-        assert fuzz_main(["--seconds", "0", "--seed", "1"]) == 0
-        assert "2 iterations, 0 failures" in capsys.readouterr().out
+    def test_k_to_k_wiring_runs_without_the_checker(self):
+        rng = random.Random(3)
+        geometry = fuzz_geometry(channels=1)
+        result, hub = observe_run(
+            [miss_heavy_trace(rng, geometry, 20)],
+            "4/4x/100%reg",
+            spec=SystemSpec(geometry=geometry, wiring=WiringMethod.K_TO_K),
+            config=ObservabilityConfig(metrics=True, profile=True),
+        )
+        assert result.reads == 20
+        assert hub.checker is None
 
 
 class TestMetricsFromRuns:

@@ -5,8 +5,9 @@ latency components must sum *exactly* to its end-to-end latency — not
 approximately, not within a tolerance. The decomposition is built as an
 interval partition of ``[arrival, complete)``, so any gap or overlap is
 a bug. The property is fuzzed here over random multi-bank, multi-channel
-traces in both baseline and MCR modes (the CI fuzz driver hammers it
-further under a time budget).
+traces in both baseline and MCR modes (the ``obs-transparent`` identity
+of ``python -m repro.verify`` checks it further on sampled
+configurations).
 """
 
 import random
@@ -15,7 +16,7 @@ import pytest
 
 from repro.core.mcr_mode import MCRMode
 from repro.obs import ObservabilityConfig, format_profile, observe_run
-from repro.obs.fuzz import fuzz_geometry, miss_heavy_trace, random_trace
+from repro.verify.generator import fuzz_geometry, miss_heavy_trace, random_trace
 from repro.obs.profiler import (
     COMPONENTS,
     PROFILE_SCHEMA_VERSION,

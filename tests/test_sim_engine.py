@@ -68,8 +68,8 @@ class TestMCRSpeedup:
 
 class TestOnlineInvariants:
     """The online checker validates every command as it issues — the
-    same property the post-hoc ``sim.audit`` replay asserts, but without
-    recording the command log first."""
+    same property a post-hoc ``replay_commands`` pass asserts, but
+    without recording the command log first."""
 
     @pytest.mark.parametrize(
         "mode_text,mech",

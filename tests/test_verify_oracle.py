@@ -11,7 +11,13 @@ from dataclasses import dataclass, field
 import pytest
 
 from repro.verify.oracle import ProtocolOracle, replay_commands
-from repro.verify.rules import DDR3_1600_CYCLES, OracleConfig, RowKind, oracle_timings
+from repro.verify.rules import (
+    DDR3_1600_CYCLES,
+    OracleConfig,
+    RowKind,
+    oracle_timings,
+    row_kind_of,
+)
 
 
 @dataclass(frozen=True)
@@ -199,6 +205,66 @@ class TestSpacingRules:
         ]
         violations = replay(stream, ranks_per_channel=2)
         assert "data-bus" in rules_of(violations)
+
+
+class TestRowClasses:
+    def test_mcr_row_needs_only_mcr_trcd(self):
+        """An MCR row is legal at the MCR tRCD; a normal row is not."""
+        config = plain_config(k=4, m=4, region_fraction=0.5)
+        mcr_trcd = oracle_timings(config).trcd[RowKind.MCR]
+        assert mcr_trcd < TRCD
+        mcr_row, normal_row = 0x1FF, 5
+        assert row_kind_of(config, mcr_row) is RowKind.MCR
+        assert row_kind_of(config, normal_row) is RowKind.NORMAL
+
+        def stream(row):
+            return [
+                (0, cmd(0, "ACTIVATE", row=row)),
+                (0, cmd(mcr_trcd, "READ", row=row)),
+            ]
+
+        assert replay_commands(stream(mcr_row), config, refresh_enabled=False) == []
+        assert rules_of(
+            replay_commands(stream(normal_row), config, refresh_enabled=False)
+        ) == ["tRCD"]
+
+
+class TestGatePrecedence:
+    """On a tie, the first rule in SPACING_RULES order names the gate."""
+
+    def test_tccd_beats_data_bus(self):
+        t = DDR3_1600_CYCLES
+        # Same rank, same direction: the second read's data transfer may
+        # start right at the first one's end, which is exactly tCCD later.
+        assert t["tCAS"] + t["tBURST"] - t["tCAS"] == t["tCCD"]
+        oracle = ProtocolOracle(plain_config(), refresh_enabled=False)
+        oracle.check(0, cmd(0, "ACTIVATE", row=7))
+        oracle.check(0, cmd(TRCD, "READ", row=7))
+        assert oracle.bounds(0, cmd(TRCD + t["tCCD"], "READ", row=7))[-2:] == [
+            ("tCCD", TRCD + t["tCCD"]),
+            ("data-bus", TRCD + t["tCCD"]),
+        ]
+        assert oracle.check(0, cmd(TRCD + t["tCCD"], "READ", row=7)) == "tCCD"
+        assert oracle.clean
+
+    def test_trc_beats_trp(self):
+        # A PRE at exactly tRAS makes the next ACT's tRP bound equal tRC.
+        oracle = ProtocolOracle(plain_config(), refresh_enabled=False)
+        oracle.check(0, cmd(0, "ACTIVATE", row=7))
+        assert oracle.check(0, cmd(TRAS, "PRECHARGE")) == "tRAS"
+        assert oracle.check(0, cmd(TRAS + TRP, "ACTIVATE", row=9)) == "tRC"
+        assert oracle.clean
+
+    def test_late_command_is_queue_and_first_is_ready(self):
+        oracle = ProtocolOracle(plain_config(), refresh_enabled=False)
+        assert oracle.check(0, cmd(0, "ACTIVATE", row=7)) == "ready"
+        assert oracle.check(0, cmd(TRCD + 3, "READ", row=7)) == "queue"
+
+    def test_observe_folds_without_checking(self):
+        oracle = ProtocolOracle(plain_config(), refresh_enabled=False)
+        oracle.observe(0, cmd(0, "ACTIVATE", row=7))
+        assert oracle.commands == 0 and oracle.clean
+        assert ("tRCD", TRCD) in oracle.bounds(0, cmd(1, "READ", row=7))
 
 
 class TestStructuralRules:

@@ -31,6 +31,7 @@ from repro.verify.rules import (
     cycles,
     issued_refresh_fraction,
     legal_trfc_values,
+    oracle_config,
     oracle_timings,
     refresh_slot_mix,
     row_kind_of,
@@ -42,9 +43,9 @@ VERIFY_SRC = Path(__file__).resolve().parents[1] / "src" / "repro" / "verify"
 class TestIndependence:
     def test_import_loads_no_simulator_module(self):
         """`import repro.verify` in a fresh interpreter must not load
-        repro.dram.timing, repro.obs.invariants, or any simulator
-        package at all (repro.dram's init pulls the timing model in, so
-        the only safe posture is loading none of them)."""
+        repro.dram.timing or any simulator package at all (repro.dram's
+        init pulls the timing model in, so the only safe posture is
+        loading none of them)."""
         code = (
             "import sys, repro.verify; "
             "print('\\n'.join(m for m in sys.modules if m.startswith('repro')))"
@@ -62,7 +63,6 @@ class TestIndependence:
         ]
         assert not forbidden, f"repro.verify pulled in {forbidden}"
         assert "repro.dram.timing" not in loaded
-        assert "repro.obs.invariants" not in loaded
 
     def test_no_static_simulator_imports_in_oracle_half(self):
         """The oracle half (rules + oracle) must not even mention
@@ -178,6 +178,66 @@ class TestDifferentialTables:
         assert cycles(13.76) == 12  # anything above rounds up
         assert cycles(0.0) == 0
         assert cycles(1.25) == 1
+
+
+class TestOracleConfig:
+    """``oracle_config`` restates a simulated configuration, plugins
+    included, without reading the plugin back."""
+
+    @pytest.mark.parametrize("name", ["clr", "chargecache"])
+    def test_default_plugin_params_agree_with_the_plugin(self, name):
+        from repro.dram.config import single_core_geometry
+        from repro.dram.mcr import MCRModeConfig
+        from repro.dram.timing import TimingDomain
+        from repro.mechanisms import MechanismSpec, resolve
+
+        geometry, mode = single_core_geometry(), MCRModeConfig.off()
+        spec = MechanismSpec(name=name)  # every parameter at its default
+        plugin = resolve(geometry, mode, spec)
+        config = oracle_config(geometry, mode, spec)
+        assert config.mechanism == name
+        theirs = TimingDomain(
+            geometry,
+            plugin.device_mode(),
+            row_timing_overrides=plugin.row_timing_overrides(),
+            trfc_overrides=plugin.trfc_overrides(),
+        ).constraint_table()
+        assert oracle_timings(config).constraint_table() == theirs
+        if name == "clr":
+            assert config.region_fraction == plugin.device_mode().region_fraction
+        else:
+            assert config.cc_capacity == plugin.capacity
+            assert config.cc_window_ns == plugin.window_ns
+
+    def test_disabled_plugins_are_conventional_dram(self):
+        from repro.dram.config import single_core_geometry
+        from repro.dram.mcr import MCRModeConfig
+        from repro.mechanisms import MechanismSpec
+
+        geometry, mode = single_core_geometry(), MCRModeConfig.off()
+        plain = oracle_config(geometry, mode)
+        for spec in (
+            MechanismSpec.make("clr", fraction_pct=0),
+            MechanismSpec.make("chargecache", capacity=0),
+        ):
+            assert oracle_config(geometry, mode, spec) == plain
+
+    def test_unstated_configurations_are_rejected(self):
+        from types import SimpleNamespace
+
+        from repro.dram.config import single_core_geometry
+        from repro.dram.mcr import MCRModeConfig
+        from repro.dram.refresh import WiringMethod
+
+        geometry, mode = single_core_geometry(), MCRModeConfig.off()
+        unknown = SimpleNamespace(name="hira", get=lambda key, default=None: default)
+        with pytest.raises(ValueError, match="hira"):
+            oracle_config(geometry, mode, unknown)
+        with pytest.raises(ValueError, match="WiringMethod.K_TO_K"):
+            oracle_config(geometry, mode, wiring=WiringMethod.K_TO_K)
+        assert oracle_config(
+            geometry, mode, wiring=WiringMethod.K_TO_N_MINUS_1_K
+        ) == oracle_config(geometry, mode)
 
 
 class TestRowKind:
