@@ -1,4 +1,4 @@
-"""Bench: batch-by-default planner+executor sweep vs the scalar path, gated.
+"""Bench: planner+executor sweep vs the scalar engine, gated.
 
 PR 7's kernel bench (``bench_batch.py``) times the kernel in isolation;
 this one times what users actually run — a paper-figure sweep slice
@@ -10,11 +10,12 @@ over six single-core workloads: 42 deduplicated jobs, every one
 batch-compatible (plain specs, no allocation policy), landing in one
 kernel chunk.
 
-Bit-identity is asserted job by job before any timing counts: the
-batch-default sweep's RunResults must equal the scalar-default sweep's
-exactly — same fingerprints, same values in every compared field.
-Both paths start with an empty trace memo per sample, so the ratio
-measures end-to-end sweep time.
+The scalar reference runs every job alone on the scalar engine,
+``[job.execute() for job in jobs]``. Bit-identity is asserted job by
+job before any timing counts: the sweep's RunResults must equal the
+reference's exactly — same values in every compared field. Both paths
+start with an empty trace memo per sample, so the ratio measures
+end-to-end sweep time.
 
 Both engines read the same lazily built refresh spread schedule, so the
 ratio is what the kernel saves in stepping: 1.9-2.4x on a 2-vCPU host
@@ -63,34 +64,38 @@ def test_sweep_batch_speedup(benchmark):
     chunk_lanes = sum(len(u.jobs) for u in units if u.kind == "chunk")
     assert chunk_lanes == len(jobs), "fig11 slice must be fully batchable"
 
-    def run_sweep(batch: bool):
-        # Both paths rebuild their traces per sample, so the ratio is
-        # sweep time, not warm-cache stepping.
+    # Both paths rebuild their traces per sample, so the ratio is sweep
+    # time, not warm-cache stepping.
+    def run_sweep():
         clear_trace_memo()
-        return execute_jobs(jobs, HarnessConfig(batch=batch), memo={})
+        return execute_jobs(jobs, HarnessConfig(), memo={})
 
-    # Bit-identity first: the batch-default sweep must reproduce the
-    # scalar-default sweep exactly before its speed counts.
-    scalar_results = run_sweep(batch=False)
-    batched_results = run_sweep(batch=True)
-    assert list(scalar_results) == list(batched_results)  # same job order
+    def run_scalar():
+        clear_trace_memo()
+        return [job.execute() for job in jobs]
+
+    # Bit-identity first: the sweep must reproduce the scalar engine
+    # job by job before its speed counts.
+    scalar_results = run_scalar()
+    batched_results = run_sweep()
+    assert list(batched_results) == [job.fingerprint for job in jobs]
     mismatches = [
         report
-        for fingerprint in scalar_results
+        for job, want in zip(jobs, scalar_results)
         if (
             report := diff_results(
-                batched_results[fingerprint],
-                scalar_results[fingerprint],
-                f"job {fingerprint[:12]}",
+                batched_results[job.fingerprint],
+                want,
+                f"job {job.fingerprint[:12]}",
             )
         )
         is not None
     ]
     assert mismatches == [], "\n".join(mismatches)
 
-    run_once(benchmark, run_sweep, batch=True)
-    scalar_wall = _median_seconds(lambda: run_sweep(batch=False), _ROUNDS)
-    batch_wall = _median_seconds(lambda: run_sweep(batch=True), _ROUNDS)
+    run_once(benchmark, run_sweep)
+    scalar_wall = _median_seconds(run_scalar, _ROUNDS)
+    batch_wall = _median_seconds(run_sweep, _ROUNDS)
     speedup = scalar_wall / batch_wall
 
     report = emit_bench(

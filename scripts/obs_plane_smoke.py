@@ -1,7 +1,7 @@
 """CI smoke test for the telemetry plane (90-second budget).
 
 Proves the acceptance criterion end to end, the way a tenant would see
-it: one batched job submitted over HTTP must yield
+it: one metrics job submitted over HTTP must yield
 
 1. an ``X-Trace-Id`` / ``Traceparent`` header pair on the submit
    response;
@@ -10,8 +10,8 @@ it: one batched job submitted over HTTP must yield
    events — observed by two independent followers of the same
    fingerprint (a second, coalesced submission);
 3. a stored RunResult whose ``trace`` annotation carries the same id
-   and an ``execute`` span, plus per-lane metrics (the job ran with
-   ``batch: true, metrics: true``);
+   and an ``execute`` span, plus its metrics snapshot (the job ran with
+   ``metrics: true``);
 4. a ``/metrics`` scrape in OpenMetrics format that parse-validates,
    advertises the right Content-Type, and includes the cache gauges and
    a trace-id exemplar on the job-seconds histogram.
@@ -46,7 +46,6 @@ SPEC = {
     "n_requests": 150,
     "seed": 7,
     "mode": "4/4x/100%reg",
-    "batch": True,
     "metrics": True,
 }
 _TRACE_ID = re.compile(r"^[0-9a-f]{32}$")
@@ -134,13 +133,13 @@ def main() -> int:
         assert [e["seq"] for e in first_view] == [e["seq"] for e in second_view]
         print(f"both followers saw {len(first_view)} ordered correlated events")
 
-        # 3. The stored RunResult carries the trace and per-lane metrics.
+        # 3. The stored RunResult carries the trace and its metrics.
         result = client.result(job_id)["result"]
         trace = result["trace"]
         assert trace is not None and trace["trace_id"] == trace_id, trace
         span_names = [span["name"] for span in trace["spans"]]
         assert "execute" in span_names, span_names
-        assert result["metrics"], "batched job carried no metrics snapshot"
+        assert result["metrics"], "metrics job carried no metrics snapshot"
         assert any(name == "sim.commands" for name in result["metrics"]), list(
             result["metrics"]
         )

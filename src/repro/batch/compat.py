@@ -1,16 +1,20 @@
 """Which simulation instances the batched kernel may run.
 
+This predicate is the one routing rule: every layer that picks an
+engine (the harness executor, the service dispatcher, the planner's
+work units) asks it, and runs what it accepts on the kernel and
+everything else on the scalar engine.
+
 The kernel supports heterogeneous lanes — any mix of K/M modes,
 geometries, mappings, scheduling policies, core parameters, wiring and
-refresh settings batches together — and metrics-only observability is
-mirrored per lane (see :class:`repro.batch.lane._MetricsMirror`). Two
-scalar-engine features stay scalar-only, and the harness silently falls
-back for them:
+refresh settings batches together. Two scalar-engine features stay
+scalar-only:
 
-- **deep observability** (profiling, tracing, invariants, command
-  sinks): those hub hooks need the scalar controller's per-command
-  object graph; batchable runs produce ``profile=None`` exactly like an
-  unobserved scalar run, so RunResult equality is still field-complete;
+- **observability** (metrics, profiling, tracing, invariants, command
+  sinks): the hub hooks need the scalar controller's per-command object
+  graph; batchable runs produce ``metrics=None`` and ``profile=None``
+  exactly like an unobserved scalar run, so RunResult equality is still
+  field-complete;
 - **page-allocation policies** (``spec.allocation``): the scalar engine
   derives a per-run row remapper from the traces; batching those would
   per-lane-ify the shared decode tables for no aggregate win.
@@ -22,8 +26,7 @@ or install controller hooks (CLR-DRAM, ChargeCache) carry an explicit
 scalar-fallback reason surfaced through this predicate.
 
 ``incompatibility`` returns a human-readable reason (or None when the
-instance is batchable); the harness surfaces the predicate as its
-grouping rule (see docs/SIMULATOR.md "Batched execution").
+instance is batchable); see docs/SIMULATOR.md "Batched execution".
 """
 
 from __future__ import annotations
@@ -31,27 +34,16 @@ from __future__ import annotations
 from repro.core.api import SystemSpec
 
 
-def _metrics_only(observability) -> bool:
-    """Is this config satisfiable by the batch kernel's metric mirrors?"""
-    return bool(getattr(observability, "metrics", False)) and not (
-        getattr(observability, "trace", False)
-        or getattr(observability, "invariants", False)
-        or getattr(observability, "profile", False)
-        or getattr(observability, "command_sink", None) is not None
-    )
+_OBSERVABILITY_REASON = (
+    "observability (metrics, tracing, invariants, profiling, command "
+    "sinks) requires the scalar engine's hub hooks"
+)
 
 
 def incompatibility(spec: SystemSpec, observability=None) -> str | None:
     """Why this instance cannot run on the batched kernel (None = it can)."""
-    if (
-        observability is not None
-        and getattr(observability, "enabled", True)
-        and not _metrics_only(observability)
-    ):
-        return (
-            "observability beyond metrics (tracing, invariants, profiling, "
-            "command sinks) requires the scalar engine's hub hooks"
-        )
+    if observability is not None and getattr(observability, "enabled", True):
+        return _OBSERVABILITY_REASON
     if spec.allocation is not None:
         return "page-allocation policies require the scalar engine's row remapper"
     if spec.mechanism is not None:
@@ -68,7 +60,10 @@ def is_batchable(spec: SystemSpec, observability=None) -> bool:
 
 
 def job_incompatibility(job) -> str | None:
-    """Compat reason for a harness :class:`~repro.harness.jobs.SimJob`."""
+    """Compat reason for a harness :class:`~repro.harness.jobs.SimJob`:
+    a ``metrics`` job needs the observability hub."""
+    if job.metrics:
+        return _OBSERVABILITY_REASON
     return incompatibility(job.spec)
 
 

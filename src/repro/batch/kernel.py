@@ -2,15 +2,11 @@
 
 The kernel steps every unfinished lane one event instant per round:
 
-    round:  for each lane in mask: lane.step()      (one event apiece)
+    round:  for each unfinished lane: lane.step()   (one event apiece)
 
-Cross-lane dispatch state is struct-of-arrays numpy: per-lane clocks,
-the finished mask that selects lanes each round, and aggregate queue
-occupancy / refresh accrual mirrors refreshed every sync interval.
-Per-command microstate (bank/rank floors, queue buckets, decision
-memos) lives in the flat per-lane tables of :mod:`repro.batch.lane` —
-scalar-indexed access dominates there, where Python lists beat numpy
-element access by an order of magnitude.
+All per-command microstate (bank/rank floors, queue buckets, decision
+memos) lives in the flat per-lane tables of :mod:`repro.batch.lane`;
+the kernel itself keeps only the list of lanes still running.
 
 Lanes of one invocation share MCR row classifiers and an
 address-decode memo per (geometry, mapping). Each lane builds its own
@@ -23,8 +19,6 @@ it costs the scalar engine; what the kernel saves is stepping time
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.batch.compat import incompatibility
 from repro.batch.lane import Lane
@@ -41,9 +35,6 @@ from repro.sim.results import RunResult
 #: Lanes per kernel invocation; the harness chunks larger groups.
 MAX_LANES = 64
 
-#: Rounds between refreshes of the aggregate SoA mirrors.
-_SYNC_INTERVAL = 16
-
 
 class BatchCompatError(ValueError):
     """An instance handed to the kernel needs the scalar engine."""
@@ -58,9 +49,6 @@ class BatchInstance:
     mode: MCRModeConfig
     spec: SystemSpec = field(default_factory=SystemSpec)
     max_cycles: int | None = None
-    #: Mirror the observability hub's metrics into ``RunResult.metrics``
-    #: (the batched counterpart of ``ObservabilityConfig(metrics=True)``).
-    metrics: bool = False
 
 
 def from_verify_case(case) -> BatchInstance:
@@ -116,7 +104,6 @@ class BatchKernel:
                         tup = (
                             coords.channel,
                             coords.rank,
-                            coords.bank,
                             coords.rank * banks + coords.bank,
                             coords.row,
                         )
@@ -129,7 +116,6 @@ class BatchKernel:
                 generator = generators[gen_key] = MCRGenerator(geometry, mode)
             lanes.append(
                 Lane(
-                    index,
                     instance.traces,
                     mode,
                     spec,
@@ -138,48 +124,17 @@ class BatchKernel:
                     spread_schedule(window_counts(mode)),
                     decoded,
                     generator.row_class,
-                    instance.metrics,
                 )
             )
         self.lanes = lanes
-        size = len(lanes)
-        #: Struct-of-arrays dispatch state, one slot per lane.
-        self.clock = np.zeros(size, dtype=np.float64)
-        self.finished = np.zeros(size, dtype=bool)
-        self.read_occupancy = np.zeros(size, dtype=np.int64)
-        self.write_occupancy = np.zeros(size, dtype=np.int64)
-        self.refresh_served = np.zeros(size, dtype=np.int64)
-        self.rounds = 0
-
-    def _sync(self, lanes) -> None:
-        clock = self.clock
-        read_occ = self.read_occupancy
-        write_occ = self.write_occupancy
-        served = self.refresh_served
-        for lane in lanes:
-            i = lane.index
-            clock[i] = lane.now
-            read_occ[i] = sum(c.rq.occ for c in lane.ctrls)
-            write_occ[i] = sum(c.wq.occ for c in lane.ctrls)
-            served[i] = sum(sum(c.ref_served) for c in lane.ctrls)
 
     def run(self) -> list[RunResult]:
-        lanes = self.lanes
-        finished = self.finished
-        while True:
-            mask = np.flatnonzero(~finished)
-            if mask.size == 0:
-                break
-            for i in mask:
-                lane = lanes[i]
+        running = self.lanes
+        while running:
+            for lane in running:
                 lane.step()
-                if lane.done:
-                    finished[i] = True
-            self.rounds += 1
-            if self.rounds % _SYNC_INTERVAL == 0:
-                self._sync(lanes[i] for i in mask)
-        self._sync(lanes)
-        return [lane.result for lane in lanes]
+            running = [lane for lane in running if not lane.done]
+        return [lane.result for lane in self.lanes]
 
 
 def run_batch(instances) -> list[RunResult]:

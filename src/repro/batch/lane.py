@@ -18,15 +18,9 @@ What the lane deliberately does NOT replicate:
   — legality is guaranteed by issuing exactly the scalar decision
   sequence, which the checker already validates on the reference side of
   every equivalence test;
-- observability hooks beyond metrics — tracing, invariants and
-  profiling instances stay scalar (see :mod:`repro.batch.compat`), so
-  ``profile`` is None on both engines. *Metrics*, however, are mirrored:
-  when an instance asks for them, each :class:`_Ctrl` carries a
-  :class:`_MetricsMirror` of the hub's counters (commands, queue
-  arrivals/depths, early accesses, row hits/misses, refresh slots) and
-  the lane folds them into ``RunResult.metrics`` as a registry snapshot
-  bit-identical to the scalar hub's — equivalence-tested on the same
-  17-config matrix as the measurement fields.
+- observability hooks — metrics, tracing, invariants and profiling
+  instances stay scalar (see :mod:`repro.batch.compat`), so ``metrics``
+  and ``profile`` are None on both engines.
 
 The ROB core model (:class:`repro.cpu.core.Core`) and the address
 mapper are reused as-is: their cost is a small fraction of the loop and
@@ -42,8 +36,6 @@ from heapq import heappop, heappush
 from repro.cpu.core import BlockReason, Core
 from repro.dram.mcr import RowClass
 from repro.dram.refresh import RefreshSlotKind
-from repro.obs.hub import _DEPTH_BUCKETS as _QUEUE_DEPTH_BUCKETS
-from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.power.edp import edp_joule_seconds
 from repro.power.micron import PowerModel, PowerStats
 from repro.sim.engine import SimulationError
@@ -72,16 +64,15 @@ class _Req:
     """
 
     __slots__ = (
-        "channel", "rank", "bank", "b", "row", "is_write",
+        "channel", "rank", "b", "row", "is_write",
         "cls", "arrival", "seq", "complete", "core_id",
     )
 
-    def __init__(self, core_id: int, channel: int, rank: int, bank: int,
+    def __init__(self, core_id: int, channel: int, rank: int,
                  b: int, row: int, is_write: bool) -> None:
         self.core_id = core_id
         self.channel = channel
         self.rank = rank
-        self.bank = bank
         self.b = b  # flat bank index: rank * banks_per_rank + bank
         self.row = row
         self.is_write = is_write
@@ -148,33 +139,6 @@ class _Queue:
         )
 
 
-class _MetricsMirror:
-    """Per-channel mirror of the hub's event-driven metrics.
-
-    The lane's result-side counters (activates, reads, refresh slots,
-    latency sums) already exist for ``RunResult``; this object holds
-    only what the hub observes *per event* and the lane otherwise
-    discards: precharge counts, last-ACT cycles for the early-access
-    detector, per-(bank, outcome) queue arrivals and the two queue-depth
-    histograms. Real :class:`~repro.obs.metrics.Histogram` objects are
-    used so bucket/quantile snapshots are identical by construction.
-    """
-
-    __slots__ = (
-        "normal_trcd", "last_act", "early_access", "n_pre", "arrivals",
-        "read_depth", "write_depth",
-    )
-
-    def __init__(self, nb: int, normal_trcd: int) -> None:
-        self.normal_trcd = normal_trcd
-        self.last_act = [-1] * nb  # by flat bank index; -1 = never
-        self.early_access = 0
-        self.n_pre = 0
-        self.arrivals: dict[tuple[int, str], int] = {}  # (bank, outcome)
-        self.read_depth = Histogram(_QUEUE_DEPTH_BUCKETS)
-        self.write_depth = Histogram(_QUEUE_DEPTH_BUCKETS)
-
-
 class _Ctrl:
     """Flat controller + channel/rank/bank device state for one channel."""
 
@@ -207,13 +171,10 @@ class _Ctrl:
         # statistics
         "act_counts", "lat_total", "lat_count", "lats",
         "reads_enq", "writes_enq",
-        # observability mirror (None unless the instance asked for metrics)
-        "mx",
     )
 
     def __init__(self, ranks: int, banks: int, domain, spread, policy: int,
-                 refresh_enabled: bool, row_class_fn,
-                 metrics: bool = False) -> None:
+                 refresh_enabled: bool, row_class_fn) -> None:
         self.ranks = ranks
         self.banks = banks
         self.policy = policy
@@ -300,7 +261,6 @@ class _Ctrl:
         self.lats: list[int] = []
         self.reads_enq = 0
         self.writes_enq = 0
-        self.mx = _MetricsMirror(nb, self.trcd[_CLS_NORMAL]) if metrics else None
 
     # ------------------------------------------------------------------
     # Enqueue side
@@ -314,24 +274,12 @@ class _Ctrl:
     def enqueue(self, req: _Req, cycle: int) -> None:
         req.arrival = cycle
         req.cls = self.row_class_fn(req.row).value
-        mx = self.mx
-        if mx is not None:
-            # Mirror of hub.on_enqueue: outcome against the open row
-            # *before* the push, depths *after* (the scalar hook fires
-            # after CommandQueue.push with len() including the new one).
-            row = self.open_row[req.b]
-            outcome = "closed" if row < 0 else ("hit" if row == req.row else "conflict")
-            key = (req.bank, outcome)
-            mx.arrivals[key] = mx.arrivals.get(key, 0) + 1
         if req.is_write:
             self.wq.push(req)
             self.writes_enq += 1
         else:
             self.rq.push(req)
             self.reads_enq += 1
-        if mx is not None:
-            mx.read_depth.observe(self.rq.occ)
-            mx.write_depth.observe(self.wq.occ)
         self.gen += 1
 
     def _collect(self, cycle: int) -> None:
@@ -653,15 +601,8 @@ class _Ctrl:
             return False, None, False
         _, kind, _, payload = decision
         self.gen += 1
-        mx = self.mx
         if kind == _COLUMN:
             req = payload
-            if mx is not None and req.cls != _CLS_NORMAL:
-                # hub.on_command early-access detector: a column to an
-                # MCR row sooner after ACT than normal tRCD would allow.
-                act = mx.last_act[req.b]
-                if act >= 0 and cycle - act < mx.normal_trcd:
-                    mx.early_access += 1
             end = self._apply_column(cycle, req)
             if req.is_write:
                 self.wq.mark_issued(req, end)
@@ -674,13 +615,9 @@ class _Ctrl:
             return True, req, False
         if kind == _ACTIVATE:
             req = payload
-            if mx is not None:
-                mx.last_act[req.b] = cycle
             self._apply_activate(cycle, req.rank, req.b, req.row, req.cls)
         elif kind == _PRECHARGE:
             b = payload
-            if mx is not None:
-                mx.n_pre += 1
             self._apply_precharge(cycle, b // self.banks, b)
         else:  # _REFRESH
             rank, slot_kind = payload
@@ -843,27 +780,24 @@ class Lane:
     """One simulation instance stepped by the lockstep kernel."""
 
     __slots__ = (
-        "index", "geometry", "mode", "spec", "max_cycles", "domain",
+        "geometry", "mode", "spec", "max_cycles", "domain",
         "cpm", "cores", "ctrls", "decoded", "cursor", "completions",
         "comp_seq", "core_wake", "wq_blocked", "rq_blocked",
         "ctrl_next", "ctrl_dirty", "now", "done", "result",
-        "trace_names", "unfinished", "metrics",
+        "trace_names", "unfinished",
     )
 
-    def __init__(self, index: int, traces, mode, spec, max_cycles,
-                 domain, spread, decoded, row_class_fn,
-                 metrics: bool = False) -> None:
+    def __init__(self, traces, mode, spec, max_cycles,
+                 domain, spread, decoded, row_class_fn) -> None:
         if not traces:
             raise ValueError("need at least one trace")
         geometry = spec.geometry
-        self.index = index
         self.geometry = geometry
         self.mode = mode
         self.spec = spec
         self.max_cycles = max_cycles
         self.domain = domain
         self.cpm = spec.core_params.cpu_cycles_per_mem_cycle
-        self.metrics = metrics
         from repro.controller.controller import SchedulingPolicy
 
         policy = {
@@ -880,7 +814,6 @@ class Lane:
                 policy,
                 spec.refresh_enabled,
                 row_class_fn,
-                metrics,
             )
             for _ in range(geometry.channels)
         ]
@@ -889,7 +822,7 @@ class Lane:
             for i, trace in enumerate(traces)
         ]
         self.trace_names = tuple(t.name for t in traces)
-        self.decoded = decoded  # per core: list of (ch, rank, bank, b, row)
+        self.decoded = decoded  # per core: list of (ch, rank, b, row)
         self.cursor = [0] * len(traces)
         self.completions: list = []  # (complete_cycle, seq, req) min-heap
         self.comp_seq = 0
@@ -911,12 +844,12 @@ class Lane:
                   fetch_cpu: float):
         arrival = math.ceil(fetch_cpu / self.cpm)
         cursor = self.cursor[core_id]
-        channel, rank, bank, b, row = self.decoded[core_id][cursor]
+        channel, rank, b, row = self.decoded[core_id][cursor]
         ctrl = self.ctrls[channel]
         if not ctrl.can_accept(is_write, arrival):
             return None
         self.cursor[core_id] = cursor + 1
-        req = _Req(core_id, channel, rank, bank, b, row, is_write)
+        req = _Req(core_id, channel, rank, b, row, is_write)
         ctrl.enqueue(req, arrival)
         self.ctrl_dirty[channel] = True
         return req
@@ -1092,70 +1025,7 @@ class Lane:
             edp=edp,
             controller_stats=tuple(c.stats() for c in self.ctrls),
             read_latency_percentiles=percentiles,
-            metrics=self._metrics_snapshot() if self.metrics else None,
         )
-
-    def _metrics_snapshot(self) -> dict:
-        """Registry snapshot equal to the scalar hub's for this run.
-
-        Series existence must match, not just values: the hub creates
-        event-driven series (commands, arrivals, early accesses, depth
-        histograms) lazily on first event, but always creates the
-        finalize-time counters/gauges for every channel.
-        """
-        registry = MetricsRegistry()
-        for channel, ctrl in enumerate(self.ctrls):
-            mx = ctrl.mx
-            activates = sum(ctrl.act_counts[1:])
-            refreshes = (
-                sum(ctrl.ref_fast) + sum(ctrl.ref_fast_alt) + sum(ctrl.ref_normal)
-            )
-            for kind, count in (
-                ("ACTIVATE", activates),
-                ("PRECHARGE", mx.n_pre),
-                ("READ", ctrl.read_count),
-                ("WRITE", ctrl.write_count),
-                ("REFRESH", refreshes),
-            ):
-                if count:
-                    registry.counter(
-                        "sim.commands", channel=channel, kind=kind
-                    ).inc(count)
-            if mx.early_access:
-                registry.counter(
-                    "sim.early_access_events", channel=channel
-                ).inc(mx.early_access)
-            for (bank, outcome), count in mx.arrivals.items():
-                registry.counter(
-                    "sim.queue_arrivals", channel=channel, bank=bank, outcome=outcome
-                ).inc(count)
-            if mx.read_depth.count or mx.write_depth.count:
-                for queue, mirror in (
-                    ("read", mx.read_depth), ("write", mx.write_depth)
-                ):
-                    hist = registry.histogram(
-                        "sim.queue_depth",
-                        buckets=_QUEUE_DEPTH_BUCKETS,
-                        channel=channel,
-                        queue=queue,
-                    )
-                    hist.counts = list(mirror.counts)
-                    hist.count = mirror.count
-                    hist.total = mirror.total
-                    hist.min_value = mirror.min_value
-                    hist.max_value = mirror.max_value
-            registry.counter("sim.row_hits", channel=channel).inc(
-                max(0, ctrl.read_count + ctrl.write_count - activates)
-            )
-            registry.counter("sim.row_misses", channel=channel).inc(activates)
-            for kind, count in ctrl.refresh_counts().items():
-                registry.counter(
-                    "sim.refresh_slots", channel=channel, kind=kind
-                ).inc(count)
-            registry.gauge("sim.avg_read_latency_cycles", channel=channel).set(
-                ctrl.lat_total / ctrl.lat_count if ctrl.lat_count else 0.0
-            )
-        return registry.snapshot()
 
     def _power_stats(self, end_cycle: int) -> PowerStats:
         act_normal = act_mcr = act_alt = 0

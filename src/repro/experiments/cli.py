@@ -17,7 +17,7 @@ Examples::
     mcr-dram diff run_a.json run_b.json
     mcr-dram serve --port 8763 --shards 4
     mcr-dram submit comm2 --mode 4/4x/100%reg --requests 2000
-    mcr-dram metrics comm2 --mode 4/4x/100%reg --batch
+    mcr-dram metrics comm2 --mode 4/4x/100%reg
     mcr-dram metrics --scrape --port 8763
     mcr-dram cache stats
     mcr-dram cache evict --max-mb 64
@@ -104,24 +104,6 @@ def _add_harness_args(subparser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="keep results in memory only; neither read nor write the disk cache",
     )
-    batch = subparser.add_mutually_exclusive_group()
-    batch.add_argument(
-        "--batch",
-        dest="batch",
-        action="store_true",
-        default=True,
-        help=(
-            "run compatible simulations through the batched lockstep kernel "
-            "(the default; bit-identical results, incompatible jobs fall "
-            "back to the scalar engine)"
-        ),
-    )
-    batch.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        help="disable kernel batching; run every simulation on the scalar engine",
-    )
 
 
 def _configure_session(args: argparse.Namespace):
@@ -130,13 +112,7 @@ def _configure_session(args: argparse.Namespace):
     from repro.harness.telemetry import stderr_progress
 
     cache_dir = None if args.no_cache else (args.cache_dir or DEFAULT_CACHE_DIR)
-    session = configure(
-        HarnessConfig(
-            parallel=args.parallel,
-            cache_dir=cache_dir,
-            batch=getattr(args, "batch", True),
-        )
-    )
+    session = configure(HarnessConfig(parallel=args.parallel, cache_dir=cache_dir))
     if args.parallel > 1:
         session.telemetry.progress = stderr_progress
     return session
@@ -286,7 +262,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         cache_max_bytes=(
             args.cache_max_mb * 1024 * 1024 if args.cache_max_mb else None
         ),
-        batch=not args.no_batch,
     )
     summary = asyncio.run(
         run_server(
@@ -363,10 +338,8 @@ def _run_submit(args: argparse.Namespace) -> int:
 def _run_metrics(args: argparse.Namespace) -> int:
     """``mcr-dram metrics``: one-shot Prometheus/OpenMetrics exposition.
 
-    Without ``--scrape``, runs one workload with the metrics registry
-    attached (scalar hub, or the batched kernel's per-lane mirrors with
-    ``--batch`` — the snapshots are equal either way) and prints the
-    OpenMetrics rendering. With ``--scrape``, fetches a running
+    Without ``--scrape``, runs one workload with the observability hub's
+    metrics registry attached and prints the OpenMetrics rendering. With ``--scrape``, fetches a running
     service's ``/metrics`` and relays it after validating it parses.
     """
     from repro.obs.prometheus import parse_exposition, render_openmetrics
@@ -405,7 +378,6 @@ def _run_metrics(args: argparse.Namespace) -> int:
         MCRMode.parse(args.mode),
         SystemSpec(),
         metrics=True,
-        batch=args.batch,
     )
     result = job.execute()
     print(
@@ -611,14 +583,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="MB",
         help="artifact-cache size cap; oldest-touched entries evicted",
     )
-    serve_cmd.add_argument(
-        "--no-batch",
-        action="store_true",
-        help=(
-            "disable the coalescing window; dispatch every queued job to "
-            "the scalar engine individually"
-        ),
-    )
     submit_cmd = sub.add_parser(
         "submit", help="submit one simulation to a running service"
     )
@@ -666,11 +630,6 @@ def main(argv: list[str] | None = None) -> int:
         "--requests", type=int, default=1000, help="trace length (default: 1000)"
     )
     metrics_cmd.add_argument("--seed", type=int, default=0, help="trace RNG seed")
-    metrics_cmd.add_argument(
-        "--batch",
-        action="store_true",
-        help="collect through the batched kernel's per-lane metric mirrors",
-    )
     metrics_cmd.add_argument(
         "--scrape",
         action="store_true",

@@ -1,17 +1,22 @@
 """Parallel job execution with retry, graceful shutdown and ordered collection.
 
 The engine resolves each job against the in-memory memo and the on-disk
-store first; only genuinely missing simulations execute. With
-``parallel <= 1`` they run in-process; otherwise a
-``ProcessPoolExecutor`` fans them out and results are collected **in
-submission order**, so telemetry, store writes and the returned mapping
-are byte-identical between serial and parallel runs (the simulations
-themselves are deterministic functions of the job, so parallelism can
-only reorder wall-clock, never results).
+store first; only genuinely missing simulations execute.
+:func:`repro.harness.planner.plan_units` splits them into work units by
+the one routing rule, :func:`repro.batch.job_incompatibility`: jobs it
+accepts run as lanes of batched-kernel chunks, every other job runs
+alone on the scalar engine. With ``parallel <= 1`` (or a single unit)
+the units run in-process; otherwise a ``ProcessPoolExecutor`` fans them
+out and results are collected **in submission order**, so telemetry,
+store writes and the returned mapping are byte-identical between serial
+and parallel runs (the simulations themselves are deterministic
+functions of the job, so parallelism can only reorder wall-clock, never
+results).
 
-Failure policy: a job whose worker crashes, times out, or whose pool
-breaks is retried exactly once, serially, in the parent process — and
-the retry is *never silent*: the triggering exception type is counted in
+Failure policy: a job whose worker or kernel chunk crashes, times out,
+or whose pool breaks is retried exactly once, serially, on the scalar
+engine in the parent process — and the retry is *never silent*: the
+triggering exception type is counted in
 :class:`~repro.harness.telemetry.Telemetry` (``retried`` plus
 ``retry_reasons``) and surfaces in ``report --metrics``. A job failing
 its retry raises — a broken simulation must surface, not vanish into a
@@ -29,20 +34,23 @@ already computed, and re-running executes exactly the missing jobs.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 import signal
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.harness.jobs import SimJob
 from repro.harness.store import ResultStore
 from repro.harness.telemetry import Telemetry
 from repro.obs import plane
 from repro.sim.results import RunResult
+
+if TYPE_CHECKING:
+    from repro.harness.planner import WorkUnit
 
 
 class HarnessInterrupted(RuntimeError):
@@ -71,20 +79,13 @@ class HarnessConfig:
         parallel: Worker processes; ``<= 1`` executes in-process.
         cache_dir: On-disk store root, or ``None`` for memory-only.
         timeout_s: Per-job wall-clock budget in workers (``None`` = no
-            limit). A timed-out job is retried serially in the parent.
+            limit); a kernel chunk gets ``timeout_s`` per lane. A
+            timed-out unit's jobs are retried serially in the parent.
         retry: Retry a crashed/timed-out job once in the parent.
         graceful: Install SIGINT/SIGTERM handlers for the duration of a
             sweep: first signal drains in-flight jobs and cancels queued
             ones (raising :class:`HarnessInterrupted`), second aborts.
             No-op off the main thread.
-        batch: Route batch-compatible jobs (``repro.batch``'s
-            ``job_incompatibility(job) is None``) through the lockstep
-            kernel, chunked by the planner's ``plan_units`` (grouped by
-            ``group_key``, up to ``MAX_LANES`` lanes); incompatible jobs
-            fall back to the scalar path. Results are bit-identical
-            either way — batching only changes wall clock. On by
-            default; ``--no-batch`` (or ``batch=False``) restores the
-            scalar-everywhere seed behavior.
     """
 
     parallel: int = 1
@@ -92,7 +93,6 @@ class HarnessConfig:
     timeout_s: float | None = None
     retry: bool = True
     graceful: bool = True
-    batch: bool = True
 
 
 def _worker(
@@ -127,14 +127,15 @@ def _batch_worker(
 ) -> list[tuple[str, RunResult, float]]:
     """Pool/service entry point: run one kernel chunk of rebuilt jobs.
 
-    The service's coalescing dispatch ships a whole batch-compatible
-    chunk across the process boundary as payloads; the worker rebuilds
-    each job's traces and runs them as lanes of a single kernel
-    invocation. Per-lane traceparents survive the hop: each lane's
-    result is stamped with its own ``execute`` span (sharing the chunk's
-    wall-clock window — lanes run interleaved, there is no per-lane
-    wall time), and each lane reports the chunk's time amortized over
-    its lanes, mirroring the in-process batch path's telemetry.
+    The executor's pool and the service's dispatch ship a whole
+    batch-compatible chunk across the process boundary as payloads; the
+    worker rebuilds each job's traces and runs them as lanes of a single
+    kernel invocation. Per-lane traceparents survive the hop: each
+    lane's result is stamped with its own ``execute`` span (sharing the
+    chunk's wall-clock window — lanes run interleaved, there is no
+    per-lane wall time), and each lane reports the chunk's time
+    amortized over its lanes, mirroring the in-process batch path's
+    telemetry.
     """
     from repro.batch import BatchInstance, run_batch
 
@@ -142,12 +143,7 @@ def _batch_worker(
     start = time.perf_counter()
     wall = time.time()
     outputs = run_batch(
-        BatchInstance(
-            traces=job.build_traces(),
-            mode=job.mode,
-            spec=job.spec,
-            metrics=job.metrics,
-        )
+        BatchInstance(traces=job.build_traces(), mode=job.mode, spec=job.spec)
         for job in jobs
     )
     per_lane = (time.perf_counter() - start) / len(jobs)
@@ -274,49 +270,17 @@ def execute_jobs(
             store.put(job.fingerprint, result)
 
     with _ShutdownGuard(config.graceful) as guard:
-        scalar_jobs = pending
-        batch_done = 0
-        if config.batch and pending:
+        if pending:
+            from repro.batch import MAX_LANES
             from repro.harness.planner import plan_units
 
-            units = plan_units(pending)
-            chunks = [list(unit.jobs) for unit in units if unit.kind == "chunk"]
-            if chunks:
-                scalar_jobs = [
-                    job
-                    for unit in units
-                    if unit.kind == "scalar"
-                    for job in unit.jobs
-                ]
-                try:
-                    batch_done = _run_batched(
-                        [],
-                        telemetry,
-                        complete,
-                        guard,
-                        retry=config.retry,
-                        chunks=chunks,
-                    )
-                except HarnessInterrupted as exc:
-                    # The scalar-only leftovers never ran either.
-                    for job in scalar_jobs:
-                        telemetry.job_cancelled(job.label)
-                    raise HarnessInterrupted(
-                        exc.completed, exc.cancelled + len(scalar_jobs)
-                    ) from None
-        if config.parallel <= 1 or len(scalar_jobs) <= 1:
-            for index, job in enumerate(scalar_jobs):
-                if guard.triggered:
-                    for skipped in scalar_jobs[index:]:
-                        telemetry.job_cancelled(skipped.label)
-                    raise HarnessInterrupted(
-                        batch_done + index, len(scalar_jobs) - index
-                    )
-                complete(job, _run_in_parent(job, telemetry, where="parent"))
-        else:
-            _run_in_pool(
-                scalar_jobs, config, telemetry, complete, guard, done=batch_done
-            )
+            workers = max(config.parallel, 1)
+            lanes = min(MAX_LANES, math.ceil(len(pending) / workers))
+            units = plan_units(pending, max_lanes=lanes)
+            if config.parallel <= 1 or len(units) == 1:
+                _run_units(units, telemetry, complete, guard, retry=config.retry)
+            else:
+                _run_in_pool(units, config, telemetry, complete, guard)
 
     # Return in original job order (dict preserves insertion; re-walk to
     # interleave cache hits and executed jobs the way they were asked).
@@ -327,27 +291,42 @@ def execute_jobs(
     }
 
 
-def _run_batched(
-    jobs: list[SimJob],
+def _run_units(
+    units: Sequence[WorkUnit],
     telemetry: Telemetry,
     complete,
     guard: _ShutdownGuard,
-    chunk_size: int | None = None,
     retry: bool = True,
-    chunks: list[list[SimJob]] | None = None,
-) -> int:
-    """Run batch-compatible jobs through the lockstep kernel, one kernel
-    invocation per chunk; returns the number of jobs completed.
+) -> None:
+    """Run work units in the parent, in plan order: chunk units through
+    the lockstep kernel, scalar units through ``SimJob.execute``.
 
-    ``chunks`` (from :func:`repro.harness.planner.plan_units`) names the
-    kernel invocations explicitly — each chunk's lanes share a
-    ``group_key`` so construction tables amortize. Without it, ``jobs``
-    is split naively every ``chunk_size`` (default ``MAX_LANES``).
+    Results complete (and persist) unit by unit, so a shutdown drains
+    the in-flight unit and cancels the rest.
+    """
+    done = 0
+    for index, unit in enumerate(units):
+        if guard.triggered:
+            remaining = [job for rest in units[index:] for job in rest.jobs]
+            for job in remaining:
+                telemetry.job_cancelled(job.label)
+            raise HarnessInterrupted(done, len(remaining))
+        if unit.kind == "chunk":
+            _run_chunk(unit.jobs, telemetry, complete, retry)
+        else:
+            for job in unit.jobs:
+                complete(job, _run_in_parent(job, telemetry, where="parent"))
+        done += len(unit.jobs)
 
-    Results complete (and persist) chunk by chunk, so an interrupted
-    sweep keeps every finished chunk. Lanes of one chunk run interleaved
-    — there is no per-job wall clock — so telemetry attributes each job
-    the chunk's wall time amortized over its lanes.
+
+def _run_chunk(
+    chunk: Sequence[SimJob], telemetry: Telemetry, complete, retry: bool
+) -> None:
+    """Run one kernel chunk in the parent.
+
+    Lanes of one chunk run interleaved — there is no per-job wall clock
+    — so telemetry attributes each job the chunk's wall time amortized
+    over its lanes.
 
     Failure policy matches the pool path: a chunk whose kernel
     invocation raises is unwound and each of its jobs is retried exactly
@@ -355,132 +334,117 @@ def _run_batched(
     the triggering exception type lands in ``harness.retries{reason}``
     exactly as a worker crash would.
     """
-    from repro.batch import MAX_LANES, BatchInstance, run_batch
+    from repro.batch import BatchInstance, run_batch
 
-    if chunks is None:
-        chunk_size = chunk_size if chunk_size is not None else MAX_LANES
-        chunks = [
-            jobs[start : start + chunk_size]
-            for start in range(0, len(jobs), chunk_size)
-        ]
     ctx = plane.current()
-    done = 0
-    for index, chunk in enumerate(chunks):
-        if guard.triggered:
-            remaining = [job for rest in chunks[index:] for job in rest]
-            for job in remaining:
-                telemetry.job_cancelled(job.label)
-            raise HarnessInterrupted(done, len(remaining))
-        starts = [telemetry.job_started(job.label) for job in chunk]
-        began = time.perf_counter()
-        wall = time.time()
-        try:
-            outputs = run_batch(
-                BatchInstance(
-                    traces=job.build_traces(),
-                    mode=job.mode,
-                    spec=job.spec,
-                    metrics=job.metrics,
-                )
-                for job in chunk
+    starts = [telemetry.job_started(job.label) for job in chunk]
+    began = time.perf_counter()
+    wall = time.time()
+    try:
+        outputs = run_batch(
+            BatchInstance(traces=job.build_traces(), mode=job.mode, spec=job.spec)
+            for job in chunk
+        )
+    except Exception as exc:
+        reason = type(exc).__name__
+        telemetry.running -= len(chunk)
+        if not retry:
+            telemetry.failures += len(chunk)
+            raise RuntimeError(
+                f"harness batch chunk failed: {len(chunk)} job(s) ({reason})"
+            ) from exc
+        for job in chunk:
+            telemetry.job_retried(job.label, reason)
+            try:
+                complete(job, _run_in_parent(job, telemetry, where="retry"))
+            except Exception:
+                telemetry.failures += 1
+                raise
+        return
+    per_job = (time.perf_counter() - began) / len(chunk)
+    for job, started, result in zip(chunk, starts, outputs):
+        if ctx is not None:
+            result = plane.stamp_result(
+                result,
+                ctx,
+                [plane.span("execute", ctx, wall, time.time())],
             )
-        except Exception as exc:
-            reason = type(exc).__name__
-            for _ in chunk:
-                telemetry.running -= 1
-            if not retry:
-                telemetry.failures += len(chunk)
-                raise RuntimeError(
-                    f"harness batch chunk failed: {len(chunk)} job(s) ({reason})"
-                ) from exc
-            for job in chunk:
-                telemetry.job_retried(job.label, reason)
-                # batch=False so the retry cannot re-enter the kernel
-                # that just failed; the scalar engine is the reference.
-                scalar_job = dataclasses.replace(job, batch=False)
-                try:
-                    complete(job, _run_in_parent(scalar_job, telemetry, where="retry"))
-                except Exception:
-                    telemetry.failures += 1
-                    raise
-                done += 1
-            continue
-        per_job = (time.perf_counter() - began) / len(chunk)
-        for job, started, result in zip(chunk, starts, outputs):
-            if ctx is not None:
-                result = plane.stamp_result(
-                    result,
-                    ctx,
-                    [plane.span("execute", ctx, wall, time.time())],
-                )
-            telemetry.job_finished(
-                job.fingerprint, job.label, started, where="batch", seconds=per_job
-            )
-            complete(job, result)
-            done += 1
-    return done
+        telemetry.job_finished(
+            job.fingerprint, job.label, started, where="batch", seconds=per_job
+        )
+        complete(job, result)
 
 
 def _run_in_pool(
-    pending: list[SimJob],
+    units: Sequence[WorkUnit],
     config: HarnessConfig,
     telemetry: Telemetry,
     complete,
     guard: _ShutdownGuard,
-    done: int = 0,
 ) -> None:
-    """Fan out to processes; collect in submission order; retry failures.
+    """Fan units out to processes; collect in submission order; retry failures.
 
-    ``complete(job, result)`` fires per job as its result is collected
-    (submission order), so partial progress survives an interrupt.
-    ``done`` counts jobs a preceding batch phase already completed, so
-    an interrupt mid-pool reports the sweep's true completed total."""
+    A chunk unit is one :func:`_batch_worker` submission with a budget
+    of ``timeout_s`` per lane; a scalar unit is one :func:`_worker`
+    submission. ``complete(job, result)`` fires per job as its unit is
+    collected (submission order), so partial progress survives an
+    interrupt."""
     # (job, reason) pairs to re-run serially in the parent.
     fallback: list[tuple[SimJob, str]] = []
-    workers = min(config.parallel, len(pending))
-    starts: dict[str, float] = {}
-    completed = done
+    completed = 0
     cancelled = 0
     ctx = plane.current()
     traceparent = ctx.traceparent() if ctx is not None else None
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=min(config.parallel, len(units)))
     try:
         futures = []
-        for job in pending:
-            starts[job.fingerprint] = telemetry.job_started(job.label)
-            futures.append((job, pool.submit(_worker, job.payload(), traceparent)))
+        for unit in units:
+            starts = [telemetry.job_started(job.label) for job in unit.jobs]
+            if unit.kind == "chunk":
+                payloads = [job.payload() for job in unit.jobs]
+                future = pool.submit(
+                    _batch_worker, payloads, [traceparent] * len(payloads)
+                )
+            else:
+                future = pool.submit(_worker, unit.jobs[0].payload(), traceparent)
+            futures.append((unit, starts, future))
         pool_broken = False
-        for job, future in futures:
+        for unit, starts, future in futures:
+            jobs = unit.jobs
             if guard.triggered and future.cancel():
                 # Never started in a worker: abandon it outright.
-                telemetry.running -= 1
-                telemetry.job_cancelled(job.label)
-                cancelled += 1
+                telemetry.running -= len(jobs)
+                for job in jobs:
+                    telemetry.job_cancelled(job.label)
+                cancelled += len(jobs)
                 continue
-            if pool_broken:
-                # The pool died; everything unfinished goes to fallback.
-                telemetry.running -= 1
-                fallback.append((job, "BrokenProcessPool"))
+            # The pool died: everything unfinished goes to fallback.
+            reason = "BrokenProcessPool" if pool_broken else None
+            if reason is None:
+                budget = None if config.timeout_s is None else config.timeout_s * len(jobs)
+                try:
+                    collected = future.result(timeout=budget)
+                except BrokenProcessPool:
+                    pool_broken = True
+                    reason = "BrokenProcessPool"
+                except Exception as exc:  # crash or TimeoutError
+                    future.cancel()
+                    reason = type(exc).__name__
+            if reason is not None:
+                telemetry.running -= len(jobs)
+                fallback.extend((job, reason) for job in jobs)
                 continue
-            try:
-                fingerprint, result, seconds = future.result(timeout=config.timeout_s)
+            where = "batch" if unit.kind == "chunk" else "worker"
+            if unit.kind != "chunk":
+                collected = [collected]
+            for job, started, (fingerprint, result, seconds) in zip(
+                jobs, starts, collected
+            ):
                 telemetry.job_finished(
-                    fingerprint,
-                    job.label,
-                    starts[fingerprint],
-                    where="worker",
-                    seconds=seconds,
+                    fingerprint, job.label, started, where=where, seconds=seconds
                 )
                 complete(job, result)
-                completed += 1
-            except BrokenProcessPool:
-                pool_broken = True
-                telemetry.running -= 1
-                fallback.append((job, "BrokenProcessPool"))
-            except Exception as exc:  # crash or TimeoutError
-                telemetry.running -= 1
-                future.cancel()
-                fallback.append((job, type(exc).__name__))
+            completed += len(jobs)
     finally:
         # cancel_futures so a timeout doesn't wait for stragglers.
         pool.shutdown(wait=False, cancel_futures=True)

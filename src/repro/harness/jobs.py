@@ -57,9 +57,6 @@ class SimJob:
     #: Collect an observability-metrics snapshot into the result
     #: (fingerprint-relevant: a metrics result is a different artifact).
     metrics: bool = False
-    #: Routing hint only — *where* a job runs never changes *what* it
-    #: computes (bit-identity), so it is excluded from equality.
-    batch: bool = field(default=False, compare=False)
 
     @classmethod
     def from_provenances(
@@ -69,7 +66,6 @@ class SimJob:
         spec: SystemSpec,
         label: str = "",
         metrics: bool = False,
-        batch: bool = False,
     ) -> "SimJob":
         """Declarative job: traces described, not built."""
         mode_cfg = mode.config if isinstance(mode, MCRMode) else mode
@@ -84,7 +80,6 @@ class SimJob:
             provenances=tuple(provenances),
             label=label or _default_label(provenances, mode_cfg),
             metrics=metrics,
-            batch=batch,
         )
 
     @classmethod
@@ -95,7 +90,6 @@ class SimJob:
         spec: SystemSpec,
         label: str = "",
         metrics: bool = False,
-        batch: bool = False,
     ) -> "SimJob":
         """Job from already-built traces.
 
@@ -119,7 +113,6 @@ class SimJob:
                 provenances=provenances,
                 label=label or _default_label(provenances, mode_cfg),
                 metrics=metrics,
-                batch=batch,
             )
         return cls(
             fingerprint=fingerprint,
@@ -128,7 +121,6 @@ class SimJob:
             literal_traces=traces,
             label=label or "+".join(t.name for t in traces) + f" {mode_cfg.label()}",
             metrics=metrics,
-            batch=batch,
         )
 
     def build_traces(self) -> tuple[Trace, ...]:
@@ -138,30 +130,12 @@ class SimJob:
         return tuple(built_trace(p) for p in self.provenances)
 
     def execute(self) -> RunResult:
-        """Run the simulation in this process.
+        """Run the simulation in this process on the scalar engine, with
+        the observability hub attached when ``metrics`` is set.
 
-        ``batch`` jobs route through the lockstep kernel when compatible
-        (one-lane batch — same bit-identical result, and the only path
-        that exercises the batch metric mirrors for a single job);
-        everything else runs the scalar engine, with the observability
-        hub attached when ``metrics`` is set.
+        Always scalar: retries and the equivalence checks re-run a job
+        through here as the reference for the batched kernel.
         """
-        if self.batch:
-            from repro.batch.compat import job_incompatibility
-            from repro.batch.kernel import BatchInstance, run_batch
-
-            if job_incompatibility(self) is None:
-                [result] = run_batch(
-                    [
-                        BatchInstance(
-                            traces=self.build_traces(),
-                            mode=self.mode,
-                            spec=self.spec,
-                            metrics=self.metrics,
-                        )
-                    ]
-                )
-                return result
         observability = None
         if self.metrics:
             from repro.obs.hub import ObservabilityConfig
@@ -183,17 +157,11 @@ class SimJob:
             self.mode,
             self.spec,
             self.metrics,
-            self.batch,
         )
 
     @classmethod
     def from_payload(cls, payload: tuple) -> "SimJob":
-        # Two trailing fields were appended in the telemetry-plane
-        # release; accept the older 5-tuple so a mixed-version pool
-        # (parent newer than a long-lived worker, or vice versa) still
-        # round-trips.
-        fingerprint, provenances, literal_traces, mode, spec = payload[:5]
-        metrics, batch = (payload[5], payload[6]) if len(payload) >= 7 else (False, False)
+        fingerprint, provenances, literal_traces, mode, spec, metrics = payload
         return cls(
             fingerprint=fingerprint,
             mode=mode,
@@ -201,7 +169,6 @@ class SimJob:
             provenances=provenances,
             literal_traces=literal_traces,
             metrics=metrics,
-            batch=batch,
         )
 
 

@@ -11,6 +11,7 @@ exactly the old ``cached_run`` semantics minus the ``id()`` keying).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Sequence
 
 from repro.core.api import SystemSpec
@@ -44,7 +45,7 @@ class HarnessSession:
             [job],
             # Inline resolution is always serial: parallelism comes from
             # prewarming the planned graph, not from single lookups.
-            HarnessConfig(parallel=1, cache_dir=self.config.cache_dir),
+            dataclasses.replace(self.config, parallel=1),
             memo=self.memo,
             store=self.store,
             telemetry=self.telemetry,

@@ -9,8 +9,10 @@ is deterministic, and a hot fingerprint can never occupy two workers
 Two backends share the interface:
 
 - ``"process"`` — one single-worker ``ProcessPoolExecutor`` per shard,
-  running :func:`repro.harness.executor._worker` exactly as the one-shot
-  harness does (trace rebuild memoized per worker process);
+  running :func:`repro.harness.executor._worker` (scalar jobs) and
+  :func:`~repro.harness.executor._batch_worker` (kernel chunks) exactly
+  as the one-shot harness's pool does (trace rebuild memoized per
+  worker process);
 - ``"thread"`` — one single-worker thread per shard, executing in-process;
   GIL-bound but startup-free, the right choice for tests, smoke runs and
   cache-dominated workloads.

@@ -68,12 +68,6 @@ class ServiceConfig:
         cache_max_bytes: LRU size cap for the artifact cache.
         max_finished: Terminal jobs kept for status/event replay.
         max_body_bytes: Largest accepted HTTP request body.
-        batch: Coalesce queued batch-compatible jobs into one kernel
-            chunk per shard dispatch (results stay bit-identical per
-            lane; only wall clock changes). ``False`` restores strictly
-            one-job-per-dispatch execution.
-        max_lanes: Lane cap per coalesced chunk (``None`` = the
-            kernel's ``MAX_LANES``).
     """
 
     host: str = "127.0.0.1"
@@ -86,8 +80,6 @@ class ServiceConfig:
     cache_max_bytes: int | None = None
     max_finished: int = 4096
     max_body_bytes: int = 1 << 20
-    batch: bool = True
-    max_lanes: int | None = None
 
 
 class SimulationService:
@@ -320,6 +312,8 @@ class SimulationService:
     # dispatch (one task per shard)
 
     async def _dispatch(self, shard: int) -> None:
+        from repro.batch import job_incompatibility
+
         queue = self._queues[shard]
         while True:
             job = await queue.get()
@@ -327,32 +321,30 @@ class SimulationService:
                 return
             if job.status != "queued":
                 continue
-            chunk = self._drain_chunk(job, queue) if self.config.batch else None
+            compatible = job_incompatibility(job.job) is None
+            chunk = self._drain_chunk(job, queue) if compatible else None
             self._observe_queue_depth()
             if chunk is not None:
                 await self._run_chunk(chunk, shard)
             else:
                 await self._run(job, shard)
 
-    def _drain_chunk(self, first, queue) -> list[ServiceJob] | None:
+    def _drain_chunk(self, first, queue) -> list[ServiceJob]:
         """The coalescing window: greedily drain queued batch-compatible
-        jobs waiting behind ``first`` into one kernel chunk.
+        jobs waiting behind the compatible job ``first`` into one kernel
+        chunk (a lone job is a one-lane chunk).
 
         Only jobs that survived identity-coalescing and the artifact
         cache ever reach the queue, so everything drained here is
         genuinely cold work. Jobs the compat predicate refuses go back
         to the tail of the queue (the event loop owns both ends, so the
-        re-queue is race-free); a lone compatible job returns ``None``
-        and takes the unchanged single-job dispatch path.
+        re-queue is race-free).
         """
         from repro.batch import MAX_LANES, job_incompatibility
 
-        if job_incompatibility(first.job) is not None:
-            return None
-        lanes = self.config.max_lanes or MAX_LANES
         chunk = [first]
         leftovers = []
-        while len(chunk) < lanes:
+        while len(chunk) < MAX_LANES:
             try:
                 candidate = queue.get_nowait()
             except asyncio.QueueEmpty:
@@ -370,8 +362,6 @@ class SimulationService:
                 leftovers.append(candidate)
         for candidate in leftovers:
             queue.put_nowait(candidate)
-        if len(chunk) < 2:
-            return None
         return chunk
 
     def _start(self, job: ServiceJob, shard: int, lanes: int | None = None) -> float:

@@ -61,9 +61,6 @@ class ExperimentSpec:
     #: Collect an observability-metrics snapshot into the result
     #: (fingerprint-relevant — a metrics job is a distinct artifact).
     metrics: bool = False
-    #: Route through the batched lockstep kernel when compatible
-    #: (placement hint; results are bit-identical either way).
-    batch: bool = False
 
     def canonical(self) -> dict:
         """Normalized JSON payload (stable shape, defaults materialized)."""
@@ -78,7 +75,6 @@ class ExperimentSpec:
             "wiring": self.wiring,
             "refresh_enabled": self.refresh_enabled,
             "metrics": self.metrics,
-            "batch": self.batch,
         }
 
     def to_job(self) -> SimJob:
@@ -106,7 +102,6 @@ class ExperimentSpec:
             spec,
             label=label,
             metrics=self.metrics,
-            batch=self.batch,
         )
 
 
@@ -183,9 +178,6 @@ def parse_spec(payload: object) -> ExperimentSpec:
     metrics = payload.get("metrics", False)
     if not isinstance(metrics, bool):
         raise SpecError("'metrics' must be a boolean")
-    batch = payload.get("batch", False)
-    if not isinstance(batch, bool):
-        raise SpecError("'batch' must be a boolean")
 
     return ExperimentSpec(
         workload=workload,
@@ -198,5 +190,4 @@ def parse_spec(payload: object) -> ExperimentSpec:
         wiring=_enum_name(payload.get("wiring", "K_TO_N_MINUS_1_K"), WiringMethod, "wiring"),
         refresh_enabled=refresh_enabled,
         metrics=metrics,
-        batch=batch,
     )

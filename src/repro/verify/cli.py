@@ -11,11 +11,10 @@ Runs three phases under a seeded RNG and a wall-clock budget:
    real engine with the oracle attached via the command tap; any
    violation is shrunk with ddmin and written out as a replayable JSON
    artifact (attach it to a bug report, or move it into
-   ``tests/corpus/`` once triaged). By default each scalar oracle
-   iteration is interleaved with a **batched round**
-   (:mod:`repro.verify.batched`): a kernel chunk of metamorphic pairs
-   plus a scalar spot-check lane, multiplying the seeded case draws
-   covered per second. ``--no-batch`` restores the scalar-only loop;
+   ``tests/corpus/`` once triaged). Each scalar oracle iteration is
+   interleaved with a **batched round** (:mod:`repro.verify.batched`):
+   a kernel chunk of metamorphic pairs plus a scalar spot-check lane,
+   multiplying the seeded case draws covered per second.
    ``--min-cases`` turns the throughput win into a CI floor.
 
 Usage::
@@ -125,11 +124,6 @@ def main(argv: list[str] | None = None) -> int:
         help="where shrunken failure artifacts go (default ./verify-failures)",
     )
     parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="disable the batched metamorphic rounds (scalar-only fuzz loop)",
-    )
-    parser.add_argument(
         "--min-cases",
         type=int,
         default=None,
@@ -158,18 +152,16 @@ def main(argv: list[str] | None = None) -> int:
     lanes = 0
     fuzz_failures: list[str] = []
     # Always run at least one fuzz iteration, however small the budget.
-    # With batching on (the default), each scalar oracle iteration is
-    # interleaved with one kernel round of metamorphic pairs, so one
-    # pass of the loop covers 1 + 2*pairs seeded case draws.
+    # Each scalar oracle iteration is interleaved with one kernel round
+    # of metamorphic pairs, so one pass of the loop covers
+    # 1 + 2*pairs seeded case draws.
     while iterations == 0 or (
         time.monotonic() < deadline
         and (args.max_iterations is None or iterations < args.max_iterations)
     ):
         fuzz_failures.extend(run_fuzz_iteration(rng, args.artifact_dir, iterations))
         iterations += 1
-        if not args.no_batch and (
-            iterations == 1 or time.monotonic() < deadline
-        ):
+        if iterations == 1 or time.monotonic() < deadline:
             from repro.verify.batched import run_batched_round
 
             round_lanes, round_failures = run_batched_round(rng)
@@ -178,14 +170,11 @@ def main(argv: list[str] | None = None) -> int:
             fuzz_failures.extend(round_failures)
     failures.extend(fuzz_failures)
     cases = iterations + lanes
-    if args.no_batch:
-        print(f"fuzz: {iterations} iterations, {len(fuzz_failures)} failures")
-    else:
-        print(
-            f"fuzz: {iterations} oracle iterations + {lanes} batched lanes "
-            f"({rounds} kernel rounds) = {cases} cases, "
-            f"{len(fuzz_failures)} failures"
-        )
+    print(
+        f"fuzz: {iterations} oracle iterations + {lanes} batched lanes "
+        f"({rounds} kernel rounds) = {cases} cases, "
+        f"{len(fuzz_failures)} failures"
+    )
     if args.min_cases is not None and cases < args.min_cases:
         failures.append(
             f"fuzz covered {cases} cases, below the --min-cases floor "

@@ -94,26 +94,35 @@ class TestConfigMatrix:
         assert mismatches == [], "\n".join(mismatches)
 
     def test_matrix_metrics_equal_scalar_hub(self):
-        """Batch-lane metric mirrors vs the scalar observability hub:
-        the whole matrix batched in ONE kernel invocation with
-        ``metrics=True`` must yield, per lane, a ``RunResult`` (metrics
-        snapshot included) equal to a scalar run under
+        """Metrics are scalar-only: the matrix run as ``metrics=True``
+        jobs through ``execute_jobs`` lands in scalar units, and every
+        result (metrics snapshot included) equals a scalar run under
         ``ObservabilityConfig(metrics=True)`` — same series, same label
         sets, same counts, buckets and quantiles."""
         from repro.core.api import run_system
+        from repro.harness import HarnessConfig, SimJob, Telemetry, execute_jobs
+        from repro.harness.planner import plan_units
         from repro.obs.hub import ObservabilityConfig
+        from repro.verify.generator import build_traces
 
-        instances = [
-            replace(from_verify_case(case), metrics=True)
+        jobs = [
+            SimJob.from_traces(
+                build_traces(case), case.mode(), build_spec(case), metrics=True
+            )
             for case in CONFIG_MATRIX
         ]
-        batched = run_batch(instances)
-        for case, instance, got in zip(CONFIG_MATRIX, instances, batched):
+        assert {unit.kind for unit in plan_units(jobs)} == {"scalar"}
+        telemetry = Telemetry()
+        results = execute_jobs(
+            jobs, HarnessConfig(graceful=False), memo={}, telemetry=telemetry
+        )
+        assert {record.where for record in telemetry.records} == {"parent"}
+        for case, job in zip(CONFIG_MATRIX, jobs):
+            got = results[job.fingerprint]
             want = run_system(
-                instance.traces,
-                MCRMode(instance.mode),
-                spec=instance.spec,
-                max_cycles=instance.max_cycles,
+                job.build_traces(),
+                MCRMode(job.mode),
+                spec=job.spec,
                 observability=ObservabilityConfig(metrics=True),
             )
             label = f"metrics seed={case.seed}"
@@ -287,19 +296,18 @@ class TestCompatPredicate:
         assert reason is not None and "allocation" in reason
         assert not is_batchable(spec)
 
-    def test_metrics_only_observability_is_batchable(self):
+    def test_metrics_only_observability_requires_scalar(self):
         from repro.obs.hub import ObservabilityConfig
 
-        assert (
-            incompatibility(
-                SystemSpec(), observability=ObservabilityConfig(metrics=True)
-            )
-            is None
-        )
+        metrics_only = ObservabilityConfig(metrics=True)
+        reason = incompatibility(SystemSpec(), observability=metrics_only)
+        assert reason is not None and "observability" in reason
+        assert not is_batchable(SystemSpec(), observability=metrics_only)
 
     def test_deep_observability_requires_scalar(self):
         from repro.obs.hub import ObservabilityConfig
 
+        assert incompatibility(SystemSpec(), observability=ObservabilityConfig()) is None
         for config in (
             ObservabilityConfig(trace=True),
             ObservabilityConfig(metrics=True, invariants=True),
@@ -311,6 +319,7 @@ class TestCompatPredicate:
 
     def test_job_predicate_follows_spec(self):
         from repro.harness.jobs import SimJob
+        from repro.obs.hub import ObservabilityConfig
         from repro.verify.generator import build_traces
 
         traces = build_traces(VerifyCase(seed=3, n_requests=10))
@@ -320,6 +329,10 @@ class TestCompatPredicate:
             traces, mode, SystemSpec(allocation="collision-free")
         )
         assert "allocation" in job_incompatibility(scalar_only)
+        metrics = SimJob.from_traces(traces, mode, SystemSpec(), metrics=True)
+        assert job_incompatibility(metrics) == incompatibility(
+            SystemSpec(), observability=ObservabilityConfig(trace=True)
+        )
 
     def test_kernel_rejects_incompatible_instance(self):
         incompatible = replace(

@@ -19,10 +19,14 @@ from repro.harness import (
 from repro.workloads import geometry_key
 
 
-def _jobs():
-    """A small sweep: two workloads × (baseline + one MCR mode)."""
-    spec = SystemSpec()
-    cf = SystemSpec(allocation="collision-free")
+#: Page allocation needs the scalar engine's row remapper, so the
+#: routing rule sends jobs with this spec to the scalar engine.
+_SCALAR_SPEC = SystemSpec(allocation="collision-free")
+
+
+def _jobs(baseline_spec=SystemSpec()):
+    """A small sweep: two workloads × (baseline + one MCR mode). The MCR
+    jobs use collision-free allocation, so they run on the scalar engine."""
     jobs = []
     for profile in ("comm2", "libq"):
         provenance = TraceProvenance(
@@ -33,11 +37,18 @@ def _jobs():
             row_offset=0,
             geometry_key=geometry_key(None),
         )
-        jobs.append(SimJob.from_provenances([provenance], MCRMode.off(), spec))
+        jobs.append(SimJob.from_provenances([provenance], MCRMode.off(), baseline_spec))
         jobs.append(
-            SimJob.from_provenances([provenance], MCRMode.parse("4/4x/100%reg"), cf)
+            SimJob.from_provenances(
+                [provenance], MCRMode.parse("4/4x/100%reg"), _SCALAR_SPEC
+            )
         )
     return jobs
+
+
+def _scalar_results(jobs):
+    """The reference: every job run alone on the scalar engine."""
+    return {job.fingerprint: job.execute() for job in jobs}
 
 
 @pytest.mark.slow
@@ -68,11 +79,9 @@ def test_memo_hit_skips_execution():
     assert telemetry.memory_hits == 1
 
 
-@pytest.mark.slow
-def test_broken_job_surfaces_after_retry():
-    """A job that crashes in its worker is retried in the parent; a job
-    that fails both raises instead of silently vanishing from the sweep."""
-    bad = SimJob.from_provenances(
+def _bad_job():
+    """A job whose trace cannot be built: it raises wherever it runs."""
+    return SimJob.from_provenances(
         [
             TraceProvenance(
                 profile="no-such-workload",
@@ -86,11 +95,18 @@ def test_broken_job_surfaces_after_retry():
         MCRMode.off(),
         SystemSpec(),
     )
+
+
+@pytest.mark.slow
+def test_broken_job_surfaces_after_retry():
+    """A job that crashes in its worker is retried in the parent; a job
+    that fails both raises instead of silently vanishing from the sweep."""
+    bad = _bad_job()
     telemetry = Telemetry()
     with pytest.raises(Exception):
         execute_jobs(
             [_jobs()[0], bad],  # two jobs so the pool path actually runs
-            HarnessConfig(parallel=2, batch=False),
+            HarnessConfig(parallel=2),
             memo={},
             telemetry=telemetry,
         )
@@ -108,7 +124,7 @@ def test_retry_reason_is_counted_not_silent():
         _jobs()[:2],
         # Effectively-zero budget: both futures time out in the parent,
         # then retry serially (and succeed).
-        HarnessConfig(parallel=2, timeout_s=1e-6, batch=False),
+        HarnessConfig(parallel=2, timeout_s=1e-6),
         memo={},
         telemetry=telemetry,
     )
@@ -127,8 +143,10 @@ def test_retry_reason_is_counted_not_silent():
 
 def test_graceful_shutdown_drains_and_persists(tmp_path, monkeypatch):
     """SIGINT mid-sweep: the in-flight job finishes and persists, the
-    queued remainder is cancelled, and HarnessInterrupted reports both."""
-    jobs = _jobs()
+    queued remainder is cancelled, and HarnessInterrupted reports both.
+    The interrupt is injected via SimJob.execute, which runs every job
+    the routing rule sends to the scalar engine."""
+    jobs = _jobs(baseline_spec=_SCALAR_SPEC)
     calls = {"n": 0}
     original = SimJob.execute
 
@@ -143,12 +161,10 @@ def test_graceful_shutdown_drains_and_persists(tmp_path, monkeypatch):
     telemetry = Telemetry()
     memo: dict = {}
     store = ResultStore(tmp_path)
-    # batch=False: the interrupt is injected via SimJob.execute, which
-    # only the scalar path calls.
     with pytest.raises(HarnessInterrupted) as stop:
         execute_jobs(
             jobs,
-            HarnessConfig(batch=False),
+            HarnessConfig(),
             memo=memo,
             store=store,
             telemetry=telemetry,
@@ -169,7 +185,7 @@ def test_graceful_shutdown_drains_and_persists(tmp_path, monkeypatch):
     monkeypatch.setattr(SimJob, "execute", original)
     resumed = Telemetry()
     results = execute_jobs(
-        jobs, HarnessConfig(batch=False), memo={}, store=store, telemetry=resumed
+        jobs, HarnessConfig(), memo={}, store=store, telemetry=resumed
     )
     assert len(results) == len(jobs)
     assert resumed.executed == len(jobs) - 1
@@ -184,6 +200,9 @@ def test_graceful_false_keeps_default_signal_handling():
     class Probe:
         fingerprint = "probe"
         label = "probe"
+        # What the routing rule reads: this job runs on the scalar engine.
+        metrics = False
+        spec = _SCALAR_SPEC
 
         def execute(self):
             seen["handler"] = signal.getsignal(signal.SIGINT)
@@ -196,13 +215,12 @@ def test_graceful_false_keeps_default_signal_handling():
             )
             return job.execute()
 
-    # batch=False: Probe is not a SimJob, so unit planning can't see it.
-    execute_jobs([Probe()], HarnessConfig(graceful=False, batch=False), memo={})
+    execute_jobs([Probe()], HarnessConfig(graceful=False), memo={})
     assert seen["handler"] is before
 
 
 # ----------------------------------------------------------------------
-# Batched execution (HarnessConfig.batch)
+# Routing: compatible jobs run as kernel chunks
 # ----------------------------------------------------------------------
 
 
@@ -220,14 +238,13 @@ def _batchable_jobs(n=5):
 
 
 def test_batched_results_equal_scalar():
-    """batch=True routes compatible jobs through the lockstep kernel and
-    the incompatible (collision-free allocation) ones through the scalar
-    fallback; the returned mapping is bit-identical to a scalar sweep."""
-    scalar = execute_jobs(_jobs(), HarnessConfig(batch=False), memo={})
+    """Compatible jobs run through the lockstep kernel and the
+    incompatible (collision-free allocation) ones on the scalar engine;
+    the returned mapping is bit-identical to running every job alone on
+    the scalar engine."""
     telemetry = Telemetry()
-    batched = execute_jobs(
-        _jobs(), HarnessConfig(batch=True), memo={}, telemetry=telemetry
-    )
+    batched = execute_jobs(_jobs(), HarnessConfig(), memo={}, telemetry=telemetry)
+    scalar = _scalar_results(_jobs())
     assert list(scalar) == list(batched)  # same fingerprints, same order
     assert scalar == batched  # bit-identical RunResults
     wheres = [record.where for record in telemetry.records]
@@ -236,18 +253,16 @@ def test_batched_results_equal_scalar():
 
 
 def test_grouped_sweep_matches_scalar_sweep_and_store(tmp_path):
-    """The batch-by-default acceptance property: a mixed sweep routed
-    through ``plan_units`` produces RunResults bit-identical to the
-    scalar sweep AND persists byte-identical store entries — callers
-    reading the cache later cannot tell which path wrote it."""
+    """A mixed sweep routed through ``plan_units`` produces RunResults
+    bit-identical to the scalar engine's AND persists byte-identical
+    store entries — callers reading the cache later cannot tell which
+    engine wrote it."""
     scalar_store = ResultStore(tmp_path / "scalar")
     batch_store = ResultStore(tmp_path / "batch")
-    scalar = execute_jobs(
-        _jobs(), HarnessConfig(batch=False), memo={}, store=scalar_store
-    )
-    batched = execute_jobs(
-        _jobs(), HarnessConfig(batch=True), memo={}, store=batch_store
-    )
+    scalar = _scalar_results(_jobs())
+    for fingerprint, result in scalar.items():
+        scalar_store.put(fingerprint, result)
+    batched = execute_jobs(_jobs(), HarnessConfig(), memo={}, store=batch_store)
     assert list(scalar) == list(batched)
     assert scalar == batched  # bit-identical RunResults
     scalar_files = sorted(p.stem for p in scalar_store.directory.glob("*.json"))
@@ -265,35 +280,30 @@ def test_partially_cached_sweep_peels_hits_before_chunking():
     one smaller kernel chunk."""
     jobs = _batchable_jobs(5)
     memo = {}
-    execute_jobs(jobs[:2], HarnessConfig(batch=True), memo=memo)
+    execute_jobs(jobs[:2], HarnessConfig(), memo=memo)
     assert len(memo) == 2
     telemetry = Telemetry()
-    results = execute_jobs(
-        jobs, HarnessConfig(batch=True), memo=memo, telemetry=telemetry
-    )
+    results = execute_jobs(jobs, HarnessConfig(), memo=memo, telemetry=telemetry)
     assert list(results) == [job.fingerprint for job in jobs]
     assert telemetry.memory_hits == 2
     assert telemetry.executed == 3  # only the cold lanes ran
     assert [record.where for record in telemetry.records] == ["batch"] * 3
-    # The blended sweep is still bit-identical to an all-scalar one.
-    scalar = execute_jobs(
-        _batchable_jobs(5), HarnessConfig(batch=False), memo={}
-    )
-    assert results == scalar
+    # The blended sweep is still bit-identical to the scalar engine.
+    assert results == _scalar_results(_batchable_jobs(5))
 
 
 def test_batch_chunking_runs_every_chunk():
-    from repro.harness.executor import _ShutdownGuard, _run_batched
+    from repro.harness.executor import _run_units, _ShutdownGuard
+    from repro.harness.planner import plan_units
 
     jobs = _batchable_jobs(5)
     telemetry = Telemetry()
     done = {}
-    _run_batched(
-        jobs,
+    _run_units(
+        plan_units(jobs, max_lanes=2),
         telemetry,
         lambda job, result: done.__setitem__(job.fingerprint, result),
         _ShutdownGuard(enabled=False),
-        chunk_size=2,
     )
     assert set(done) == {job.fingerprint for job in jobs}
     assert telemetry.executed == 5
@@ -312,9 +322,7 @@ def test_batch_chunk_failure_counts_retry_reason(monkeypatch):
     monkeypatch.setattr(batch_module, "run_batch", exploding_kernel)
     jobs = _batchable_jobs(3)
     telemetry = Telemetry()
-    results = execute_jobs(
-        jobs, HarnessConfig(batch=True), memo={}, telemetry=telemetry
-    )
+    results = execute_jobs(jobs, HarnessConfig(), memo={}, telemetry=telemetry)
     # Every job completed via the scalar fallback...
     assert list(results) == [job.fingerprint for job in jobs]
     assert all(record.where == "retry" for record in telemetry.records)
@@ -329,15 +337,14 @@ def test_batch_chunk_failure_counts_retry_reason(monkeypatch):
     )
     assert "MemoryError" in telemetry.summary()
     # The fallback results are the reference scalar results, bit-identical.
-    monkeypatch.undo()
-    scalar = execute_jobs(_batchable_jobs(3), HarnessConfig(batch=False), memo={})
-    assert results == scalar
+    assert results == _scalar_results(_batchable_jobs(3))
 
 
 def test_batch_shutdown_drains_current_chunk():
     """A shutdown mid-batch finishes the in-flight kernel chunk (its
     results persist) and cancels the chunks that never started."""
-    from repro.harness.executor import _run_batched
+    from repro.harness.executor import _run_units
+    from repro.harness.planner import plan_units
 
     jobs = _batchable_jobs(5)
     telemetry = Telemetry()
@@ -352,8 +359,69 @@ def test_batch_shutdown_drains_current_chunk():
         Guard.triggered = True  # request shutdown during the first chunk
 
     with pytest.raises(HarnessInterrupted) as stop:
-        _run_batched(jobs, telemetry, complete, Guard, chunk_size=2)
+        _run_units(plan_units(jobs, max_lanes=2), telemetry, complete, Guard)
     assert done == [job.fingerprint for job in jobs[:2]]
     assert stop.value.completed == 2
     assert stop.value.cancelled == 3
     assert telemetry.cancelled == 3
+
+
+@pytest.mark.slow
+def test_parallel_chunks_run_in_the_pool(monkeypatch):
+    """With ``parallel=2`` the compatible jobs split into at least two
+    kernel chunks, each one submission to a pool worker; every result
+    equals the scalar engine's."""
+    from repro.harness import executor
+    from repro.harness.planner import plan_units
+
+    def in_parent(*args, **kwargs):
+        raise AssertionError("a chunk ran in the parent")
+
+    monkeypatch.setattr(executor, "_run_chunk", in_parent)
+    jobs = _batchable_jobs(5)
+    assert len(plan_units(jobs, max_lanes=3)) >= 2
+    telemetry = Telemetry()
+    results = execute_jobs(
+        jobs, HarnessConfig(parallel=2), memo={}, telemetry=telemetry
+    )
+    assert results == _scalar_results(jobs)
+    assert [record.where for record in telemetry.records] == ["batch"] * len(jobs)
+
+
+@pytest.mark.slow
+def test_pool_chunk_failure_retries_each_lane():
+    """A chunk that raises in a pool worker sends each of its lanes to
+    one scalar retry in the parent, with the reason counted: the good
+    lane recovers, the broken one fails its retry and raises."""
+    jobs = _batchable_jobs(3) + [_bad_job()]
+    telemetry = Telemetry()
+    memo = {}
+    with pytest.raises(Exception):
+        # Two-lane chunks: the first runs in a worker, the second raises.
+        execute_jobs(jobs, HarnessConfig(parallel=2), memo=memo, telemetry=telemetry)
+    assert [record.where for record in telemetry.records] == ["batch", "batch", "retry"]
+    assert telemetry.retried == 2
+    assert list(telemetry.retry_reasons.values()) == [2]
+    assert telemetry.failures == 1
+    assert memo == _scalar_results(jobs[:3])
+
+
+def test_inline_run_honours_the_session_config(monkeypatch):
+    """``cached_run`` resolves under the session's own policy: with
+    ``retry=False`` a kernel chunk that raises re-raises instead of
+    retrying on the scalar engine."""
+    import repro.batch as batch_module
+    from repro.experiments.runner import cached_run
+    from repro.harness import configure
+    from repro.workloads import make_trace
+
+    def exploding_kernel(instances):
+        raise MemoryError("lane allocation failed")
+
+    monkeypatch.setattr(batch_module, "run_batch", exploding_kernel)
+    session = configure(HarnessConfig(retry=False))
+    trace = make_trace("comm2", n_requests=40, seed=0)
+    with pytest.raises(RuntimeError, match="batch chunk failed"):
+        cached_run([trace], MCRMode.parse("2/2x/100%reg"), SystemSpec())
+    assert session.telemetry.retried == 0
+    assert session.telemetry.failures == 1

@@ -379,10 +379,11 @@ class TestVerdicts:
         # shift moves them into geomean territory, and a jump from ~0%
         # to ~20% must read as a regression.
         entries = [
-            {"name": "obs_batch_metrics_overhead", "overhead_pct": v}
+            {"name": "overhead", "overhead_pct": v}
             for v in [-1.0, 0.5, -0.5, 0.0, 1.0, 20.0, 22.0, 21.0]
         ]
-        result = verdict("obs_batch_metrics_overhead", entries)
+        tracked = Tracked("overhead_pct", False, 0.05, shift=100.0)
+        result = verdict("overhead", entries, tracked=tracked)
         assert result.status == "regression"
 
     def test_unknown_name_falls_back_to_wall_time(self):

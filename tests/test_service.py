@@ -16,6 +16,8 @@ from repro.service import QueueFull, ServiceConfig, SimulationService
 from repro.service.spec import SpecError
 
 SPEC = {"workload": "comm2", "n_requests": 60, "seed": 9}
+#: Page allocation keeps a spec off the kernel: it takes ``pool.run``.
+SCALAR_SPEC = {**SPEC, "allocation": "collision-free"}
 
 
 def _config(tmp_path, **overrides) -> ServiceConfig:
@@ -27,16 +29,18 @@ def _config(tmp_path, **overrides) -> ServiceConfig:
 
 
 class _GatedWorker:
-    """Wraps the thread-backend worker behind a gate the test controls."""
+    """Wraps a thread-backend worker entry behind a gate the test
+    controls: by default the kernel-chunk entry, which plain specs take."""
 
-    def __init__(self):
+    def __init__(self, entry=None):
+        self.entry = entry if entry is not None else pool_module._batch_worker
         self.gate = threading.Event()
         self.calls = 0
 
-    def __call__(self, payload, traceparent=None):
+    def __call__(self, *args):
         self.calls += 1
         assert self.gate.wait(60), "test never opened the worker gate"
-        return pool_module._worker(payload, traceparent)
+        return self.entry(*args)
 
 
 def test_duplicate_inflight_submissions_coalesce(tmp_path, monkeypatch):
@@ -44,7 +48,7 @@ def test_duplicate_inflight_submissions_coalesce(tmp_path, monkeypatch):
     original is running coalesces — one execution, exactly one store
     write, both submitters see the same terminal job."""
     gated = _GatedWorker()
-    monkeypatch.setattr(pool_module, "_thread_worker", gated)
+    monkeypatch.setattr(pool_module, "_thread_chunk_worker", gated)
 
     async def main():
         service = SimulationService(_config(tmp_path))
@@ -120,7 +124,7 @@ def test_fresh_service_hits_the_shared_disk_cache(tmp_path):
 
 def test_full_queue_rejects_with_backpressure(tmp_path, monkeypatch):
     gated = _GatedWorker()
-    monkeypatch.setattr(pool_module, "_thread_worker", gated)
+    monkeypatch.setattr(pool_module, "_thread_chunk_worker", gated)
 
     async def main():
         service = SimulationService(_config(tmp_path, shards=1, queue_limit=1))
@@ -148,7 +152,7 @@ def test_full_queue_rejects_with_backpressure(tmp_path, monkeypatch):
 
 def test_shutdown_cancels_queued_drains_running(tmp_path, monkeypatch):
     gated = _GatedWorker()
-    monkeypatch.setattr(pool_module, "_thread_worker", gated)
+    monkeypatch.setattr(pool_module, "_thread_chunk_worker", gated)
 
     async def main():
         service = SimulationService(_config(tmp_path, shards=1, queue_limit=8))
@@ -176,10 +180,10 @@ def test_shutdown_cancels_queued_drains_running(tmp_path, monkeypatch):
 
 
 def test_worker_crash_is_retried_with_reason(tmp_path, monkeypatch):
-    def crashing_worker(payload, traceparent=None):
+    def crashing_worker(payloads, traceparents=None):
         raise OSError("simulated worker loss")
 
-    monkeypatch.setattr(pool_module, "_thread_worker", crashing_worker)
+    monkeypatch.setattr(pool_module, "_thread_chunk_worker", crashing_worker)
 
     async def main():
         service = SimulationService(_config(tmp_path, shards=1))
@@ -202,10 +206,10 @@ def test_worker_crash_is_retried_with_reason(tmp_path, monkeypatch):
 def test_failed_job_reports_and_does_not_poison(tmp_path, monkeypatch):
     attempts = {"n": 0}
 
-    def crashing_worker(payload, traceparent=None):
+    def crashing_worker(payloads, traceparents=None):
         raise RuntimeError("worker down")
 
-    monkeypatch.setattr(pool_module, "_thread_worker", crashing_worker)
+    monkeypatch.setattr(pool_module, "_thread_chunk_worker", crashing_worker)
 
     from repro.harness.jobs import SimJob
 
@@ -288,9 +292,9 @@ def test_queued_compatible_jobs_coalesce_into_kernel_chunk(tmp_path, monkeypatch
     through the cross-engine differ)."""
     from tests.equivalence_harness import diff_results
 
-    gated = _GatedWorker()
+    gated = _GatedWorker(pool_module._worker)
     monkeypatch.setattr(pool_module, "_thread_worker", gated)
-    specs = _distinct_specs(4)
+    specs = [SCALAR_SPEC] + _distinct_specs(3)
 
     async def main():
         service = SimulationService(_config(tmp_path, shards=1))
@@ -319,26 +323,37 @@ def test_queued_compatible_jobs_coalesce_into_kernel_chunk(tmp_path, monkeypatch
         assert mismatch is None, mismatch
 
 
-def test_no_batch_config_disables_the_coalescing_window(tmp_path, monkeypatch):
-    """ServiceConfig(batch=False) — the service side of ``--no-batch`` —
-    dispatches every queued job individually through the scalar path."""
-    gated = _GatedWorker()
-    monkeypatch.setattr(pool_module, "_thread_worker", gated)
-    specs = _distinct_specs(3)
+def test_lone_compatible_job_runs_as_a_one_lane_chunk(tmp_path):
+    async def main():
+        service = SimulationService(_config(tmp_path, shards=1))
+        await service.start()
+        job = service.submit(SPEC)
+        await service.wait(job.fingerprint, timeout=60)
+        await service.shutdown()
+        return service, job
+
+    service, job = asyncio.run(main())
+    assert job.status == "done"
+    assert job.where == "batch"
+    assert service.metrics.counter("service.batch_chunks").value == 1
+    assert service.metrics.counter("service.batched_lanes").value == 1
+
+
+def test_incompatible_job_takes_the_single_job_path(tmp_path, monkeypatch):
+    def no_chunk(payloads, traceparents=None):
+        raise AssertionError("an allocation spec reached the kernel")
+
+    monkeypatch.setattr(pool_module, "_thread_chunk_worker", no_chunk)
 
     async def main():
-        service = SimulationService(_config(tmp_path, shards=1, batch=False))
+        service = SimulationService(_config(tmp_path, shards=1))
         await service.start()
-        first = service.submit(specs[0])
-        await asyncio.sleep(0.05)
-        queued = [service.submit(spec) for spec in specs[1:]]
-        gated.gate.set()
-        for job in [first] + queued:
-            await service.wait(job.fingerprint, timeout=60)
+        job = service.submit(SCALAR_SPEC)
+        await service.wait(job.fingerprint, timeout=60)
         await service.shutdown()
-        return service
+        return service, job
 
-    service = asyncio.run(main())
-    assert gated.calls == 3  # every job took the single-job path
+    service, job = asyncio.run(main())
+    assert job.status == "done"
+    assert job.where == "worker"
     assert service.metrics.counter("service.batch_chunks").value == 0
-    assert all(record.where != "batch" for record in service.telemetry.records)

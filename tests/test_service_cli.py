@@ -142,29 +142,28 @@ def test_cache_stats_and_evict(served, tmp_path, capsys):
 def test_run_exits_130_on_interrupt(tmp_path, monkeypatch, capsys):
     """`mcr-dram run` surfaces a graceful shutdown as exit 130 with the
     partial-sweep summary, instead of a traceback."""
-    from repro.harness.jobs import SimJob
+    import repro.batch as batch_module
 
-    original = SimJob.execute
+    original = batch_module.run_batch
     calls = {"n": 0}
 
-    def execute_and_interrupt(self):
+    def run_batch_and_interrupt(instances):
         calls["n"] += 1
         if calls["n"] == 1:
             import os
 
             os.kill(os.getpid(), signal.SIGINT)
-        return original(self)
+        return original(instances)
 
-    monkeypatch.setattr(SimJob, "execute", execute_and_interrupt)
-    # --no-batch: the interrupt is injected via SimJob.execute, which
-    # only the scalar path calls.
+    monkeypatch.setattr(batch_module, "run_batch", run_batch_and_interrupt)
+    # The interrupt lands in fig13's first unit, its kernel chunk; the
+    # allocation jobs planned after it are cancelled.
     code = main(
         [
             "run",
-            "fig11",
+            "fig13",
             "--scale",
             "smoke",
-            "--no-batch",
             "--cache-dir",
             str(tmp_path / "cache"),
         ]

@@ -123,15 +123,15 @@ def test_retry_path_still_stamps_execute_span(tmp_path, monkeypatch):
     correlation: the retried execution is stamped manually (the executor
     thread carries no ambient context)."""
     calls = {"n": 0}
-    real = pool_module._worker
+    real = pool_module._batch_worker
 
-    def crash_once(payload, traceparent=None):
+    def crash_once(payloads, traceparents=None):
         calls["n"] += 1
         if calls["n"] == 1:
             raise OSError("simulated worker loss")
-        return real(payload, traceparent)
+        return real(payloads, traceparents)
 
-    monkeypatch.setattr(pool_module, "_thread_worker", crash_once)
+    monkeypatch.setattr(pool_module, "_thread_chunk_worker", crash_once)
 
     async def main():
         service = SimulationService(_config(tmp_path, shards=1))
@@ -155,13 +155,13 @@ def test_coalesced_submission_shares_one_trace(tmp_path, monkeypatch):
     """A duplicate spec coalescing onto an in-flight job joins that
     job's trace — one execution, one correlation id for both tenants."""
     gate = threading.Event()
-    real = pool_module._worker
+    real = pool_module._batch_worker
 
-    def gated_worker(payload, traceparent=None):
+    def gated_worker(payloads, traceparents=None):
         assert gate.wait(60)
-        return real(payload, traceparent)
+        return real(payloads, traceparents)
 
-    monkeypatch.setattr(pool_module, "_thread_worker", gated_worker)
+    monkeypatch.setattr(pool_module, "_thread_chunk_worker", gated_worker)
 
     async def main():
         service = SimulationService(_config(tmp_path))
@@ -180,41 +180,42 @@ def test_coalesced_submission_shares_one_trace(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Spec: metrics/batch knobs ride the same validated admission path
+# Spec: the metrics knob rides the same validated admission path
 # ----------------------------------------------------------------------
 
 
-def test_spec_metrics_and_batch_round_trip():
-    spec = parse_spec({**SPEC, "metrics": True, "batch": True})
-    assert spec.metrics is True and spec.batch is True
-    canonical = spec.canonical()
-    assert canonical["metrics"] is True and canonical["batch"] is True
+def test_spec_metrics_round_trip():
+    spec = parse_spec({**SPEC, "metrics": True})
+    assert spec.metrics is True
+    assert spec.canonical()["metrics"] is True
     # Distinct artifacts: a metrics job must not collide with the plain
     # fingerprint in any cache tier.
     plain = parse_spec(SPEC)
     assert spec.to_job().fingerprint != plain.to_job().fingerprint
 
 
-@pytest.mark.parametrize("field", ["metrics", "batch"])
+@pytest.mark.parametrize("field", ["metrics"])
 def test_spec_rejects_non_boolean_knobs(field):
     with pytest.raises(SpecError, match=f"'{field}' must be a boolean"):
         parse_spec({**SPEC, field: "yes"})
 
 
-def test_batched_metrics_job_through_the_service(tmp_path):
-    """The acceptance slice minus HTTP: batch+metrics through the full
-    service path yields per-lane metrics on a trace-stamped result."""
+def test_metrics_job_through_the_service(tmp_path):
+    """The acceptance slice minus HTTP: a metrics job takes the scalar
+    engine (the observability hub is scalar-only) and yields its metrics
+    on a trace-stamped result."""
 
     async def main():
         service = SimulationService(_config(tmp_path))
         await service.start()
-        job = service.submit({**SPEC, "metrics": True, "batch": True})
+        job = service.submit({**SPEC, "metrics": True})
         await service.wait(job.fingerprint, timeout=60)
         await service.shutdown()
         return job
 
     job = _run(main())
     assert job.status == "done"
+    assert job.where == "worker"
     assert job.result.metrics is not None
     assert "sim.commands" in job.result.metrics
     assert job.result.trace["trace_id"] == job.trace.trace_id
@@ -242,13 +243,13 @@ def test_http_trace_headers_and_two_follower_ordering(tmp_path):
     via a coalesced submission mid-flight — observe identical, ordered,
     fully-correlated NDJSON lifecycles, matching the response headers."""
     gate = threading.Event()
-    real = pool_module._thread_worker
+    real = pool_module._thread_chunk_worker
 
-    def gated_worker(payload, traceparent=None):
+    def gated_worker(payloads, traceparents=None):
         assert gate.wait(60)
-        return real(payload, traceparent)
+        return real(payloads, traceparents)
 
-    pool_module._thread_worker = gated_worker
+    pool_module._thread_chunk_worker = gated_worker
     try:
         with _Server(
             ServiceConfig(
@@ -283,4 +284,4 @@ def test_http_trace_headers_and_two_follower_ordering(tmp_path):
             assert stored["trace"]["trace_id"] == trace_id
     finally:
         gate.set()
-        pool_module._thread_worker = real
+        pool_module._thread_chunk_worker = real

@@ -122,13 +122,13 @@ def test_error_statuses(tmp_path):
 
         # A pending job's result is a 409, not an error page.
         gated = threading.Event()
-        real = pool_module._thread_worker
+        real = pool_module._thread_chunk_worker
 
-        def gated_worker(job_payload, traceparent=None):
+        def gated_worker(payloads, traceparents=None):
             gated.wait(60)
-            return real(job_payload, traceparent)
+            return real(payloads, traceparents)
 
-        pool_module._thread_worker = gated_worker
+        pool_module._thread_chunk_worker = gated_worker
         try:
             accepted = client.submit({**SPEC, "seed": 77})
             status, payload, _ = client._request(
@@ -138,19 +138,19 @@ def test_error_statuses(tmp_path):
             assert payload["status"] in ("queued", "running")
         finally:
             gated.set()
-            pool_module._thread_worker = real
+            pool_module._thread_chunk_worker = real
         client.wait(accepted["job_id"])
 
 
 def test_queue_full_maps_to_429_with_retry_after(tmp_path):
     gated = threading.Event()
-    real = pool_module._thread_worker
+    real = pool_module._thread_chunk_worker
 
-    def gated_worker(job_payload, traceparent=None):
+    def gated_worker(payloads, traceparents=None):
         gated.wait(60)
-        return real(job_payload, traceparent)
+        return real(payloads, traceparents)
 
-    pool_module._thread_worker = gated_worker
+    pool_module._thread_chunk_worker = gated_worker
     try:
         with _Server(
             _config(tmp_path, shards=1, queue_limit=1, retry_after_s=0.05)
@@ -174,7 +174,7 @@ def test_queue_full_maps_to_429_with_retry_after(tmp_path):
                 client.wait(response["job_id"])
     finally:
         gated.set()
-        pool_module._thread_worker = real
+        pool_module._thread_chunk_worker = real
 
 
 def test_metrics_endpoint_text_and_json(tmp_path):

@@ -83,6 +83,7 @@ def test_mcr_spec_builds_a_runnable_job():
         ({"workload": "comm2", "policy": "LIFO"}, "unknown policy"),
         ({"workload": "comm2", "wiring": "SPAGHETTI"}, "unknown wiring"),
         ({"workload": "comm2", "refresh_enabled": "yes"}, "boolean"),
+        ({"workload": "comm2", "batch": True}, "unknown spec field"),
     ],
 )
 def test_malformed_specs_are_rejected(payload, message):
