@@ -376,14 +376,13 @@ class _Ctrl:
     def _decide(self, now: int):
         """Best next command as (cycle, kind, arrival, payload), or None.
 
-        Identical candidate set, clamping and (cycle, kind, arrival)
-        first-wins tie-break as ``MemoryController._decide``; the
-        ``earliest_*`` device queries are inlined reads of the flat
-        floors. The scalar scan visits banks ordered by their oldest
-        request, so a full (cycle, kind, arrival) tie resolves to the
-        bank with the smallest bucket-head seq; iterating the bucket
-        dict unordered with that seq as an explicit fourth tie-break key
-        picks the same winner without the per-decide sort.
+        Identical candidate set, clamping and tie-break rule as
+        ``MemoryController._decide``; the ``earliest_*`` device queries
+        are inlined reads of the flat floors. Both engines walk the
+        bucket dict unordered and settle a (cycle, kind, arrival) tie
+        between banks by the smaller bucket-head seq, a fourth key;
+        candidates that serve no queued request keep the first-wins
+        (cycle, kind, arrival) compare.
         """
         accrued = now // self.t_refi if self.refresh_enabled else 0
         forced = self._forced_mask(accrued) if self.refresh_enabled else 0

@@ -49,6 +49,10 @@ _COLUMN, _ACTIVATE, _PRECHARGE, _REFRESH = 0, 1, 2, 3
 #: Validity horizon for a decision with no natural expiry.
 _NO_EXPIRY = 1 << 62
 
+#: Fourth decision key of candidates that serve no queued request; it
+#: exceeds every ``queue_seq``, so such a candidate never wins a tie.
+_NO_SEQ = 1 << 62
+
 
 class SchedulingPolicy(Enum):
     """Request-selection policy.
@@ -195,10 +199,8 @@ class MemoryController:
 
         Returns None when there is nothing to do and refresh is disabled.
         """
-        candidates: list[int] = []
         decision = self._decide_at(now)
-        if decision is not None:
-            candidates.append(decision[0])
+        best = None if decision is None else decision[0]
         if self.drain.draining:
             # Only while draining can a write retirement change the
             # schedule (the hysteresis exits at the low watermark), so
@@ -206,17 +208,19 @@ class MemoryController:
             # the exact exit cycle. Outside drain mode a shrinking write
             # queue cannot flip any decision.
             completion = self.write_queue.next_completion()
-            if completion is not None:
-                candidates.append(completion)
+            if completion is not None and (best is None or completion < best):
+                best = completion
         if self.refresh_enabled:
             # Refresh due counts (and the forced flag) change only when
             # the accrual clock crosses a tREFI boundary; due-but-
             # postponed slots are already visible to _decide above.
             t_refi = self.refresh.t_refi
-            candidates.append((now // t_refi + 1) * t_refi)
-        if not candidates:
+            boundary = (now // t_refi + 1) * t_refi
+            if best is None or boundary < best:
+                best = boundary
+        if best is None:
             return None
-        return max(now, min(candidates))
+        return now if best < now else best
 
     def execute(self, cycle: int) -> ControllerEvents:
         """Issue the best legal command at ``cycle``, if any is ready."""
@@ -375,14 +379,15 @@ class MemoryController:
         if self.write_queue.collect(cycle):
             self._state_gen += 1
 
-    def _forced_ranks(self, now: int) -> set[int]:
-        if not self.refresh_enabled:
-            return set()
-        return {
-            rank
-            for rank in range(self.geometry.ranks_per_channel)
-            if self.refresh.is_forced(rank, now)
-        }
+    def _forced_mask(self, now: int) -> int:
+        """Bitmask of ranks whose refresh postponement budget is exhausted."""
+        mask = 0
+        if self.refresh_enabled:
+            is_forced = self.refresh.is_forced
+            for rank in range(self.geometry.ranks_per_channel):
+                if is_forced(rank, now):
+                    mask |= 1 << rank
+        return mask
 
     def _decide(
         self, now: int
@@ -392,24 +397,19 @@ class MemoryController:
         Returns (cycle, kind, arrival, payload) minimizing (cycle, kind,
         arrival) — i.e. earliest first, then FR-FCFS priority, then age.
         Visits only banks with queued work (the queues maintain the
-        per-bank buckets incrementally), in oldest-request-first bank
-        order so tie-breaks match a full queue scan.
+        per-bank buckets incrementally), in no particular order: when two
+        banks tie on (cycle, kind, arrival), the bank whose oldest queued
+        request has the smaller ``queue_seq`` wins, as a fourth key. That
+        is the bank a full oldest-first queue scan would reach first.
+        Candidates that serve no queued request (eager and refresh
+        precharges, refreshes) come after the request traffic and carry
+        ``_NO_SEQ``, so a tie on the first three keys keeps the earlier
+        candidate.
         """
         channel = self.channel
-        forced = self._forced_ranks(now)
-        best: tuple[int, int, int, object] | None = None
-
-        def consider(cycle: int | None, kind: int, arrival: int, payload: object) -> None:
-            nonlocal best
-            if cycle is None:
-                return
-            if cycle < now:
-                cycle = now
-            if cycle < arrival:
-                cycle = arrival  # a request cannot be served before it arrives
-            candidate = (cycle, kind, arrival, payload)
-            if best is None or candidate[:3] < best[:3]:
-                best = candidate
+        forced = self._forced_mask(now)
+        best: tuple[int, int, int, int] | None = None
+        best_payload: object = None
 
         # --- request traffic -------------------------------------------------
         read_queue = self.read_queue
@@ -423,47 +423,39 @@ class MemoryController:
             # Strict arrival order: only the oldest request's commands are
             # candidates; no hit-over-miss reordering.
             oldest = active.oldest_queued()
-            bank_work = (
-                []
-                if oldest is None
-                else [(oldest.bank_key, (oldest,))]
-            )
+            bank_work = () if oldest is None else ((oldest.bank_key, (oldest,)),)
         else:
             bank_work = active.banks_with_work()
 
         for key, bucket in bank_work:
             rank, bank = key
-            if rank in forced:
+            if forced >> rank & 1:
                 continue
+            head = bucket[0]
             open_row = channel.open_row(rank, bank)
-            if open_row is not None:
+            if open_row is None:
+                cycle = channel.earliest_activate(rank, bank)
+                kind, req, payload = _ACTIVATE, head, head
+            else:
                 for req in bucket:
                     if req.row == open_row:
-                        consider(
-                            channel.earliest_column(
-                                rank, bank, req.row, req.is_write
-                            ),
-                            _COLUMN,
-                            req.arrival_cycle,
-                            req,
+                        cycle = channel.earliest_column(
+                            rank, bank, open_row, req.is_write
                         )
+                        kind = _COLUMN
+                        payload = req
                         break  # never close a row that still has hits queued
                 else:
-                    oldest = bucket[0]
-                    consider(
-                        channel.earliest_precharge(rank, bank),
-                        _PRECHARGE,
-                        oldest.arrival_cycle,
-                        (rank, bank),
-                    )
-            else:
-                oldest = bucket[0]
-                consider(
-                    channel.earliest_activate(rank, bank),
-                    _ACTIVATE,
-                    oldest.arrival_cycle,
-                    oldest,
-                )
+                    cycle = channel.earliest_precharge(rank, bank)
+                    kind, req, payload = _PRECHARGE, head, key
+            arrival = req.arrival_cycle
+            if cycle < now:
+                cycle = now
+            if cycle < arrival:
+                cycle = arrival  # a request cannot be served before it arrives
+            candidate = (cycle, kind, arrival, head.queue_seq)
+            if best is None or candidate < best:
+                best, best_payload = candidate, payload
 
         if self.policy is SchedulingPolicy.CLOSED_PAGE:
             # Eagerly close banks nothing in either queue still wants:
@@ -474,41 +466,43 @@ class MemoryController:
                 for bank_idx, bank in enumerate(rank.banks):
                     key = (rank_idx, bank_idx)
                     if bank.is_open and key not in wanted:
-                        consider(
-                            channel.earliest_precharge(rank_idx, bank_idx),
-                            _PRECHARGE,
-                            now,
-                            key,
-                        )
+                        cycle = channel.earliest_precharge(rank_idx, bank_idx)
+                        candidate = (max(cycle, now), _PRECHARGE, now, _NO_SEQ)
+                        if best is None or candidate < best:
+                            best, best_payload = candidate, key
 
         # --- refresh ---------------------------------------------------------
         if self.refresh_enabled:
-            busy_ranks = read_queue.queued_ranks() | write_queue.queued_ranks()
             for rank in range(self.geometry.ranks_per_channel):
-                kind = self.refresh.pending_kind(rank, now)
-                if kind is None:
+                slot_kind = self.refresh.pending_kind(rank, now)
+                if slot_kind is None:
                     continue
-                if rank not in forced and rank in busy_ranks:
+                is_forced = forced >> rank & 1
+                if not is_forced and (
+                    read_queue.pending_for_rank(rank)
+                    or write_queue.pending_for_rank(rank)
+                ):
                     continue  # only opportunistic on idle ranks
+                arrival = 0 if is_forced else now
                 earliest = channel.earliest_refresh(rank)
                 if earliest is None:
                     # Some bank still open: close banks to make way.
-                    for bank_idx, bank in enumerate(channel.ranks[rank].banks):
-                        if bank.is_open:
-                            consider(
-                                channel.earliest_precharge(rank, bank_idx),
-                                _PRECHARGE,
-                                0 if rank in forced else now,
-                                (rank, bank_idx),
-                            )
+                    candidates = [
+                        (channel.earliest_precharge(rank, bank_idx),
+                         _PRECHARGE, (rank, bank_idx))
+                        for bank_idx, bank in enumerate(channel.ranks[rank].banks)
+                        if bank.is_open
+                    ]
                 else:
-                    consider(
-                        earliest,
-                        _REFRESH,
-                        0 if rank in forced else now,
-                        (rank, kind),
-                    )
-        return best
+                    candidates = [(earliest, _REFRESH, (rank, slot_kind))]
+                for cycle, kind, payload in candidates:
+                    # arrival <= now, so the now floor is the only clamp.
+                    candidate = (max(cycle, now), kind, arrival, _NO_SEQ)
+                    if best is None or candidate < best:
+                        best, best_payload = candidate, payload
+        if best is None:
+            return None
+        return (best[0], best[1], best[2], best_payload)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -9,8 +9,9 @@ The queue keeps incremental per-bank indexes so the FR-FCFS scheduler
 never rescans the whole queue:
 
 - ``_queued_by_bank`` — per-(rank, bank) FIFO of still-QUEUED requests,
-  so the scheduler visits only banks-with-work and reads each bank's
-  oldest request (and oldest row hit) off the bucket head;
+  so the scheduler visits only banks-with-work, in no particular order,
+  and reads each bank's oldest request (and oldest row hit) off the
+  bucket head; the head's ``queue_seq`` breaks ties between banks;
 - ``_inflight`` — a min-heap of ``(complete_cycle, seq, request)`` for
   ISSUED requests, so retirement pops due completions instead of
   sweeping every entry on every poll;
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Iterator
+from typing import Callable, ItemsView, Iterator
 
 from repro.controller.request import MemoryRequest, RequestState
 
@@ -126,15 +127,12 @@ class CommandQueue:
         """Earliest in-flight completion cycle, or None when none is."""
         return self._inflight[0][0] if self._inflight else None
 
-    def banks_with_work(self) -> list[tuple[BankKey, deque[MemoryRequest]]]:
-        """(bank key, bucket) pairs ordered by each bank's oldest request.
+    def banks_with_work(self) -> ItemsView[BankKey, deque[MemoryRequest]]:
+        """(bank key, bucket) pairs of banks with QUEUED requests, unordered.
 
-        The ordering reproduces a full oldest-first queue scan's
-        grouping order, so FR-FCFS tie-breaks are unchanged.
+        Each bucket holds its bank's requests oldest first.
         """
-        return sorted(
-            self._queued_by_bank.items(), key=lambda item: item[1][0].queue_seq
-        )
+        return self._queued_by_bank.items()
 
     def oldest_queued(self) -> MemoryRequest | None:
         """The oldest still-QUEUED request (FCFS head), or None."""
@@ -148,10 +146,6 @@ class CommandQueue:
     def queued_banks(self) -> set[BankKey]:
         """Bank keys with at least one QUEUED request."""
         return set(self._queued_by_bank)
-
-    def queued_ranks(self) -> set[int]:
-        """Ranks with at least one QUEUED request."""
-        return {rank for rank, n in self._queued_per_rank.items() if n}
 
     def pending_for_rank(self, rank: int) -> bool:
         """Any schedulable request targeting ``rank``?"""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.cpu.trace import Trace
 from repro.dram.config import DRAMGeometry
-from repro.dram.mcr import MCRGenerator, MCRModeConfig
+from repro.dram.mcr import MCRModeConfig
 
 
 def _accessed_rows_per_bank(
@@ -83,12 +83,7 @@ class CollisionFreeAllocator(_BaseRemapper):
         super().__init__()
         if not mode.enabled:
             return
-        generator = MCRGenerator(geometry, mode)
-        base_rows = [
-            row
-            for row in _region_base_rows(geometry, mode)
-            if generator.is_mcr_row(row)
-        ]
+        base_rows = _region_base_rows(geometry, mode)
         for key, rows in _accessed_rows_per_bank(traces, geometry).items():
             if len(rows) > len(base_rows):
                 raise ValueError(
@@ -119,20 +114,11 @@ class ProfileAllocator(_BaseRemapper):
         super().__init__()
         if not 0.0 <= allocation_ratio <= 1.0:
             raise ValueError("allocation_ratio must be within [0, 1]")
+        self.hot_rows_placed = 0
         if not mode.enabled or allocation_ratio == 0.0:
             return
-        generator = MCRGenerator(geometry, mode)
-        base_rows = [
-            row
-            for row in _region_base_rows(geometry, mode)
-            if generator.is_mcr_row(row)
-        ]
-        normal_rows = [
-            row
-            for row in range(geometry.rows_per_bank)
-            if not generator.is_mcr_row(row)
-        ]
-        self.hot_rows_placed = 0
+        base_rows = _region_base_rows(geometry, mode)
+        normal_rows = _normal_rows(geometry, mode)
         for key, rows in _accessed_rows_per_bank(traces, geometry).items():
             hot_count = min(round(len(rows) * allocation_ratio), len(base_rows))
             mapping: dict[int, int] = {}
@@ -148,16 +134,21 @@ class ProfileAllocator(_BaseRemapper):
             self._maps[key] = mapping
 
 
+def _subarray_rows(
+    geometry: DRAMGeometry, start: int, stop: int, step: int = 1
+) -> list[int]:
+    """Local rows ``range(start, stop, step)`` of every sub-array, in order."""
+    rows: list[int] = []
+    for origin in range(0, geometry.rows_per_bank, geometry.rows_per_subarray):
+        rows.extend(range(origin + start, origin + stop, step))
+    return rows
+
+
 def _region_base_rows(geometry: DRAMGeometry, mode: MCRModeConfig) -> list[int]:
     """MCR base rows (clone LSBs zero) walking sub-arrays in order."""
     sub = geometry.rows_per_subarray
-    region_start = round(sub * (1.0 - mode.region_fraction))
-    rows: list[int] = []
-    for subarray in range(geometry.subarrays_per_bank):
-        origin = subarray * sub
-        for local in range(region_start, sub, mode.k):
-            rows.append(origin + local)
-    return rows
+    start = round(sub * (1.0 - mode.region_fraction))
+    return _subarray_rows(geometry, start, sub, mode.k)
 
 
 def _alt_region_base_rows(geometry: DRAMGeometry, mode: MCRModeConfig) -> list[int]:
@@ -166,15 +157,21 @@ def _alt_region_base_rows(geometry: DRAMGeometry, mode: MCRModeConfig) -> list[i
         return []
     sub = geometry.rows_per_subarray
     primary_start = round(sub * (1.0 - mode.region_fraction))
-    alt_start = round(
-        sub * (1.0 - mode.region_fraction - mode.alt_region_fraction)
-    )
-    rows: list[int] = []
-    for subarray in range(geometry.subarrays_per_bank):
-        origin = subarray * sub
-        for local in range(alt_start, primary_start, mode.alt_k):
-            rows.append(origin + local)
-    return rows
+    alt_start = round(sub * (1.0 - mode.region_fraction - mode.alt_region_fraction))
+    return _subarray_rows(geometry, alt_start, primary_start, mode.alt_k)
+
+
+def _normal_rows(geometry: DRAMGeometry, mode: MCRModeConfig) -> list[int]:
+    """Rows outside every MCR region, walking sub-arrays in order.
+
+    MCR regions fill each sub-array's top local rows, so the normal rows
+    are the local rows below the secondary region's start, which is the
+    primary region's start when there is no secondary region (the region
+    starts :class:`repro.dram.mcr.MCRGenerator` compares against).
+    """
+    sub = geometry.rows_per_subarray
+    end = round(sub * (1.0 - mode.region_fraction - mode.alt_region_fraction))
+    return _subarray_rows(geometry, 0, end)
 
 
 class CombinedProfileAllocator(_BaseRemapper):
@@ -204,14 +201,9 @@ class CombinedProfileAllocator(_BaseRemapper):
             raise ValueError("CombinedProfileAllocator needs a combined mode")
         if hot_ratio < 0 or warm_ratio < 0 or hot_ratio + warm_ratio > 1.0:
             raise ValueError("require hot_ratio, warm_ratio >= 0 summing to <= 1")
-        generator = MCRGenerator(geometry, mode)
         primary_rows = _region_base_rows(geometry, mode)
         alt_rows = _alt_region_base_rows(geometry, mode)
-        normal_rows = [
-            row
-            for row in range(geometry.rows_per_bank)
-            if not generator.is_mcr_row(row)
-        ]
+        normal_rows = _normal_rows(geometry, mode)
         for key, rows in _accessed_rows_per_bank(traces, geometry).items():
             hot_count = min(round(len(rows) * hot_ratio), len(primary_rows))
             warm_count = min(round(len(rows) * warm_ratio), len(alt_rows))

@@ -247,7 +247,9 @@ class SystemSimulator:
         ``(time, kind, index)``; an entry is stale — and discarded on
         pop — when the tracked array no longer holds that exact time.
         Every write to the arrays pushes a fresh entry, so the heap top
-        (after discarding stale entries) is always the true minimum.
+        (after discarding stale entries) is always the true minimum. The
+        loop ends when its count of unfinished cores reaches zero; the
+        count drops at each core's finishing transition.
         """
         cpm = self.core_params.cpu_cycles_per_mem_cycle
         cores = self.cores
@@ -264,17 +266,24 @@ class SystemSimulator:
         heapq.heapify(event_heap)
         heappush = heapq.heappush
         heappop = heapq.heappop
+        unfinished = sum(not c.finished for c in cores)
 
         def advance_core(idx: int, now_mem: float) -> None:
+            nonlocal unfinished
             result = cores[idx].advance(now_mem * cpm)
             blocked = cores[idx].blocked
-            if blocked is BlockReason.WRITE_QUEUE_FULL:
+            if blocked is BlockReason.FINISHED:
+                # Call sites only advance unfinished cores, so this is the
+                # finishing transition exactly once per core.
+                unfinished -= 1
+                core_wake[idx] = _INF
+            elif blocked is BlockReason.WRITE_QUEUE_FULL:
                 wq_blocked.add(idx)
                 core_wake[idx] = _INF
             elif blocked is BlockReason.READ_QUEUE_FULL:
                 rq_blocked.add(idx)
                 core_wake[idx] = _INF
-            elif blocked is BlockReason.FINISHED or result.wake_cpu is None:
+            elif result.wake_cpu is None:
                 core_wake[idx] = _INF
             else:
                 wake = result.wake_cpu / cpm
@@ -282,7 +291,7 @@ class SystemSimulator:
                 heappush(event_heap, (wake, _EV_CORE, idx))
 
         now = 0.0
-        while not all(c.finished for c in cores):
+        while unfinished:
             if max_cycles is not None and now > max_cycles:
                 raise SimulationError(f"exceeded max_cycles={max_cycles}")
             for ch, dirty in enumerate(ctrl_dirty):
@@ -366,7 +375,10 @@ class SystemSimulator:
                         stalled = list(wq_blocked)
                         wq_blocked.clear()
                         for idx in stalled:
-                            advance_core(idx, now)
+                            # A core woken by a read completion may have
+                            # finished since it blocked on the write queue.
+                            if not cores[idx].finished:
+                                advance_core(idx, now)
 
         return self._collect_results()
 

@@ -2,9 +2,16 @@
 
 import pytest
 
-from repro.core.allocation import CollisionFreeAllocator, ProfileAllocator
-from repro.dram.config import single_core_geometry
-from repro.dram.mcr import MCRGenerator, MCRModeConfig
+from repro.core.allocation import (
+    CollisionFreeAllocator,
+    ProfileAllocator,
+    _alt_region_base_rows,
+    _normal_rows,
+    _region_base_rows,
+)
+from repro.dram.config import multi_core_geometry, single_core_geometry
+from repro.dram.mcr import SUPPORTED_K, MCRGenerator, MCRModeConfig, RowClass
+from repro.dram.mode_register import REGION_CODES
 from repro.workloads import make_trace
 
 
@@ -83,6 +90,12 @@ class TestProfileAllocator:
     def test_ratio_zero_is_identity(self, geometry, trace):
         allocator = ProfileAllocator([trace], geometry, mode_50(), 0.0)
         assert allocator.mapped_count() == 0
+        assert allocator.hot_rows_placed == 0
+
+    def test_identity_when_disabled(self, geometry, trace):
+        allocator = ProfileAllocator([trace], geometry, MCRModeConfig.off(), 0.5)
+        assert allocator.mapped_count() == 0
+        assert allocator.hot_rows_placed == 0
 
     def test_hot_count_tracks_ratio(self, geometry, trace):
         mode = mode_50()
@@ -120,3 +133,37 @@ class TestProfileAllocator:
     def test_validates_ratio(self, geometry, trace):
         with pytest.raises(ValueError):
             ProfileAllocator([trace], geometry, mode_50(), 1.5)
+
+
+def every_mode():
+    """Every supported [M/Kx/L%reg] mode, the off mode and the combined one."""
+    modes = [MCRModeConfig.off(), MCRModeConfig.combined()]
+    for k in SUPPORTED_K:
+        for m in range(1, k + 1):
+            if k > 1 and k % m == 0:
+                modes.extend(
+                    MCRModeConfig(k=k, m=m, region_fraction=region)
+                    for region in REGION_CODES
+                )
+    return modes
+
+
+@pytest.mark.parametrize(
+    "make_geometry", [single_core_geometry, multi_core_geometry]
+)
+def test_allocator_rows_match_classifier(make_geometry):
+    """The arithmetic row lists equal the MCR classifier's, row by row."""
+    geometry = make_geometry()
+    rows = range(geometry.rows_per_bank)
+    for mode in every_mode():
+        gen = MCRGenerator(geometry, mode)
+        assert _normal_rows(geometry, mode) == [
+            r for r in rows if not gen.is_mcr_row(r)
+        ], mode.label()
+        base_rows = {RowClass.MCR: [], RowClass.MCR_ALT: []}
+        for r in rows:
+            cls = gen.row_class(r)
+            if cls is not RowClass.NORMAL and gen.clone_index(r) == 0:
+                base_rows[cls].append(r)
+        assert _region_base_rows(geometry, mode) == base_rows[RowClass.MCR]
+        assert _alt_region_base_rows(geometry, mode) == base_rows[RowClass.MCR_ALT]
